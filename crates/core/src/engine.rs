@@ -20,13 +20,14 @@ use congames_model::{
 };
 use congames_sampling::{multinomial_with_rest_into, DrawRng};
 
+use crate::driver::{RoundState, RunDriver};
 use crate::error::DynamicsError;
 use crate::expectation::PairFlow;
 use crate::hook::RoundHook;
 use crate::observe::Observer;
 use crate::protocol::{ImitationProtocol, Protocol, SelfSampling};
-use crate::stopping::{RunOutcome, RunSummary, StopCondition, StopReason, StopSpec};
-use crate::trajectory::{capture_record, RecordConfig, Trajectory};
+use crate::stopping::{RunOutcome, RunSummary, StopSpec};
+use crate::trajectory::{RecordConfig, Trajectory};
 
 /// Which round engine to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -1086,88 +1087,32 @@ impl<'g> Simulation<'g> {
         rng: &mut impl DrawRng,
         observer: &mut O,
     ) -> Result<RunSummary, DynamicsError> {
+        let driver = RunDriver::new(stop, self.record, self.round);
         // Seed from the simulation's own counter so a resumed run's start
         // record reports the migrations of the round that produced it.
-        let mut last_migrations = self.last_migrations;
-        let start_round = self.round;
+        let mut migrations = self.last_migrations;
         loop {
             // Scheduled events fire before the round's record is captured
             // and before the stop conditions run, so the record *at* a
             // shock round already reflects the post-event game/state (the
             // pre-shock reference is the last record strictly before).
-            let fired = self.fire_due_events()?;
-            // The starting round is recorded even when a manually-stepped
-            // simulation resumes off the cadence — the documented contract
-            // is "start record, cadence records, stop record".
-            let recording = self.record.every > 0
-                && (self.round == start_round || self.round % self.record.every == 0);
-            if recording {
-                observer.observe(&capture_record(
-                    &self.game,
-                    &self.state,
-                    self.round,
-                    self.potential,
-                    last_migrations,
-                    self.record.approx.as_ref(),
-                    fired,
-                ));
+            let shock = self.fire_due_events()?;
+            let at = RoundState {
+                round: self.round,
+                potential: self.potential,
+                migrations,
+                shock,
+                // While a hook still has fires pending the run is
+                // nonstationary by declaration: today's stable state is
+                // the pre-shock reference, not an outcome.
+                deferred: self.hook.as_ref().and_then(|h| h.next_fire()).is_some(),
+                nu: self.protocol.stability_threshold(&self.params),
+            };
+            if let Some(summary) = driver.visit(&at, &mut (&*self.game, &self.state), observer) {
+                return Ok(summary);
             }
-            if let Some(reason) = self.check_stop(stop) {
-                if self.record.every > 0 && !recording {
-                    observer.observe(&capture_record(
-                        &self.game,
-                        &self.state,
-                        self.round,
-                        self.potential,
-                        last_migrations,
-                        self.record.approx.as_ref(),
-                        fired,
-                    ));
-                }
-                return Ok(RunSummary { reason, rounds: self.round, potential: self.potential });
-            }
-            let stats = self.step(rng)?;
-            last_migrations = stats.migrations;
+            migrations = self.step(rng)?.migrations;
         }
-    }
-
-    fn check_stop(&self, stop: &StopSpec) -> Option<StopReason> {
-        // While a round hook still has scheduled fires pending, the run is
-        // nonstationary by declaration: equilibrium-type conditions are
-        // deferred until the schedule drains (today's stable state is not
-        // an outcome, it is the pre-shock reference). Only the round
-        // budget can stop a run mid-schedule.
-        let events_pending = self.hook.as_ref().and_then(|h| h.next_fire()).is_some();
-        let expensive_due = self.round % stop.check_every() == 0 && !events_pending;
-        for cond in stop.conditions() {
-            match cond {
-                StopCondition::MaxRounds(r) if self.round >= *r => {
-                    return Some(StopReason::MaxRounds);
-                }
-                StopCondition::PotentialAtMost(v) if !events_pending && self.potential <= *v => {
-                    return Some(StopReason::PotentialReached);
-                }
-                StopCondition::ImitationStable if expensive_due => {
-                    let nu = self.protocol.stability_threshold(&self.params);
-                    if congames_model::is_imitation_stable(&self.game, &self.state, nu) {
-                        return Some(StopReason::ImitationStable);
-                    }
-                }
-                StopCondition::ApproxEquilibrium(eq)
-                    if expensive_due && eq.is_satisfied(&self.game, &self.state) =>
-                {
-                    return Some(StopReason::ApproxEquilibrium);
-                }
-                StopCondition::NashEquilibrium { tol }
-                    if expensive_due
-                        && congames_model::is_nash_equilibrium(&self.game, &self.state, *tol) =>
-                {
-                    return Some(StopReason::NashEquilibrium);
-                }
-                _ => {}
-            }
-        }
-        None
     }
 }
 
@@ -1203,6 +1148,7 @@ pub(crate) fn exploration_mu(
 mod tests {
     use super::*;
     use crate::protocol::{Damping, ExplorationProtocol, ImitationProtocol, NuRule};
+    use crate::stopping::{StopCondition, StopReason};
     use congames_model::Affine;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;

@@ -17,6 +17,19 @@
 //! bit-identical-across-thread-counts guarantee, via a reduction tree that
 //! is a function of the trial count alone.
 //!
+//! Every reduced sweep runs on one *leaf pipeline*: trials are cut into
+//! [`REDUCE_BLOCK`]-trial blocks, workers claim scheduling units (one
+//! block, or two for a 64-lane group) in order under a bounded reorder
+//! window, each unit runs on the scalar engine or the [`LaneKernel`] — the
+//! one place the two kernels part ways — and the block partials (the
+//! reduction tree's *leaves*) leave the pipeline in block order.
+//! [`Ensemble::run_reduced`] merges them all; [`Ensemble::run_reduced_shard`]
+//! returns the leaves of one shard's block range. The same pipeline runs
+//! at one thread (on the calling thread) and at many, and it has one
+//! failure rule: a failing unit stops all claims past it, the units before
+//! it run to completion, and the lowest failing unit's error or panic is
+//! what the sweep reports — for every thread and shard count.
+//!
 //! The lower-level [`run_indexed`] primitive (a panic-transparent indexed
 //! parallel map) is exported for harnesses that fan out non-simulation
 //! work; `congames-analysis::run_trials` builds on it. All batch entry
@@ -291,8 +304,9 @@ impl<'g> Ensemble<'g> {
     /// bit-identical to the scalar counter-mode run of its trial, so
     /// reduced results — and the thread-count and shard/merge identities —
     /// are **byte-identical with the lane kernel on or off**; only
-    /// wall-clock changes. Validated when a run starts (see
-    /// [`Ensemble::run_reduced`] for the accepted configurations).
+    /// wall-clock changes. Validated when a reduced run starts: the width
+    /// must be one of [`LANE_WIDTHS`], with counter-mode RNG, the aggregate
+    /// engine, and no round hook.
     pub fn lane_width(mut self, width: usize) -> Self {
         self.lane_width = Some(width);
         self
@@ -303,12 +317,15 @@ impl<'g> Ensemble<'g> {
         self.lane_width
     }
 
-    /// Check a [`Ensemble::lane_width`] configuration: the width must be
-    /// one of [`LANE_WIDTHS`], the RNG backend must be counter mode (lane
-    /// bit-identity is a property of addressed draws), the engine must be
-    /// the aggregate kernel, and no round hook may be attached (scenario
-    /// schedules mutate the game, which lanes share).
-    fn validate_lane_config(&self, width: usize) -> Result<(), DynamicsError> {
+    /// Check a [`Ensemble::lane_width`] configuration, if one is set: the
+    /// width must be one of [`LANE_WIDTHS`], the RNG backend must be
+    /// counter mode (lane bit-identity is a property of addressed draws),
+    /// the engine must be the aggregate kernel, and no round hook may be
+    /// attached (scenario schedules mutate the game, which lanes share).
+    fn validate_lane_config(&self) -> Result<(), DynamicsError> {
+        let Some(width) = self.lane_width else {
+            return Ok(());
+        };
         if !LANE_WIDTHS.contains(&width) {
             return Err(DynamicsError::InvalidParameter {
                 name: "lane_width",
@@ -332,64 +349,6 @@ impl<'g> Ensemble<'g> {
                 name: "lane_width",
                 message: "the lane kernel does not support round hooks (nonstationary scenarios)",
             });
-        }
-        Ok(())
-    }
-
-    /// Run trials `start..end` through lockstep lane groups of at most
-    /// `width`, feeding each finished trial's output to `absorb` in trial
-    /// order. Grouping is pure scheduling — per-trial outputs are
-    /// bit-identical for any chunking — so callers may anchor groups
-    /// wherever their block coverage starts. Errors carry the failing
-    /// global trial index; `abort` (when given) stops the group loop
-    /// early after a concurrent failure.
-    #[allow(clippy::too_many_arguments)]
-    fn run_lane_trials<O: Observer>(
-        &self,
-        start: usize,
-        end: usize,
-        width: usize,
-        stop: &StopSpec,
-        observer_factory: &(impl Fn(usize) -> O + Sync),
-        abort: Option<&AtomicBool>,
-        mut absorb: impl FnMut(usize, O::Output),
-    ) -> Result<(), (usize, DynamicsError)> {
-        // One kernel serves every group in the range: `reset` re-points
-        // the stream/state buffers at the next group without reallocating
-        // (tails reset to a narrower lane count), so a sweep's steady
-        // state allocates lane storage once, not once per group.
-        let mut kernel: Option<LaneKernel<'_>> = None;
-        let mut t = start;
-        while t < end {
-            if abort.is_some_and(|a| a.load(Ordering::Relaxed)) {
-                return Ok(());
-            }
-            let lanes = width.min(end - t);
-            let kernel = match kernel.as_mut() {
-                Some(k) => {
-                    k.reset(t as u64, lanes);
-                    k
-                }
-                None => kernel.insert(
-                    LaneKernel::new(
-                        self.game,
-                        self.protocol,
-                        &self.start,
-                        self.base_seed,
-                        t as u64,
-                        lanes,
-                    )
-                    .map_err(|e| (t, e))?
-                    .with_recording(self.record),
-                ),
-            };
-            let observers: Vec<O> = (0..lanes).map(|l| observer_factory(t + l)).collect();
-            let outputs =
-                kernel.run_observed(stop, observers).map_err(|(lane, e)| (t + lane, e))?;
-            for (l, out) in outputs.into_iter().enumerate() {
-                absorb(t + l, out);
-            }
-            t += lanes;
         }
         Ok(())
     }
@@ -464,20 +423,6 @@ impl<'g> Ensemble<'g> {
         results.into_iter().collect()
     }
 
-    /// Run one replica and fold its observed output into `partial`.
-    fn reduce_one_trial<O: Observer>(
-        &self,
-        trial: usize,
-        stop: &StopSpec,
-        observer_factory: &(impl Fn(usize) -> O + Sync),
-    ) -> Result<O::Output, DynamicsError> {
-        let mut sim = self.make_sim()?;
-        let mut rng = self.trial_stream(trial);
-        let mut observer = observer_factory(trial);
-        let summary = sim.run_observed(stop, &mut rng, &mut observer)?;
-        Ok(observer.finish(&summary))
-    }
-
     /// Run every replica and fold the per-trial observer outputs into
     /// `reducer` **online** — the memory-bounded path for large sweeps: no
     /// per-trial `Trajectory`, outcome `Vec`, or any other
@@ -501,19 +446,26 @@ impl<'g> Ensemble<'g> {
     /// reduction tree therefore depends only on the trial count, so the
     /// returned reducer is **bit-identical for every thread count** — the
     /// same contract the outcome-level APIs pin for threads 1/2/8.
-    /// Workers claim blocks dynamically but a bounded reorder window (a
-    /// small multiple of the thread count) keeps pending partials — and
-    /// hence memory — bounded even when early blocks run long.
+    /// Workers claim blocks in order but a bounded reorder window (a small
+    /// multiple of the thread count) keeps pending partials — and hence
+    /// memory — bounded even when early blocks run long. With a
+    /// [`Ensemble::lane_width`] the blocks' trials run in lockstep lane
+    /// groups; the per-trial outputs, and so the bits, are the same.
     ///
     /// With zero trials the reducer is returned untouched (the identity
     /// reduction; see [`Ensemble::trials`]).
     ///
     /// # Errors
     ///
-    /// A failing replica aborts the sweep early (remaining workers stop
-    /// claiming trials) and the lowest-trial-index error observed is
-    /// returned; a panicking replica or reducer likewise aborts and the
-    /// original payload is re-raised, as in [`run_indexed`].
+    /// An invalid lane configuration is rejected before anything runs,
+    /// even with zero trials. A failing scheduling unit (one block, or
+    /// the two blocks of a 64-lane group) stops the sweep from claiming
+    /// any unit after it, while the units before it run to completion;
+    /// the sweep then returns the replica error of the **lowest failing
+    /// unit**, or re-raises its panic (replica, observer factory, or
+    /// reducer) with the original payload. The reported failure is
+    /// therefore a function of the configuration, never of the thread
+    /// count.
     ///
     /// # Example
     ///
@@ -549,258 +501,12 @@ impl<'g> Ensemble<'g> {
         O: Observer,
         R: Reducer<Item = O::Output> + Send + Sync,
     {
-        let trials = self.trials;
+        self.validate_lane_config()?;
+        let prototype = reducer.identity();
         let mut acc = reducer;
-        if trials == 0 {
-            return Ok(acc);
-        }
-        if let Some(width) = self.lane_width {
-            self.validate_lane_config(width)?;
-        }
-        let blocks = trials.div_ceil(REDUCE_BLOCK);
-        let block_range = |b: usize| b * REDUCE_BLOCK..((b + 1) * REDUCE_BLOCK).min(trials);
-        // The scheduling unit: one reduce block, except that a 64-lane
-        // group spans two consecutive blocks (one lockstep run fills both
-        // partials). The unit split is scheduling only — per-trial outputs,
-        // and therefore the block partials and the merge tree, are
-        // bit-identical however trials are grouped into lanes.
-        let unit_blocks = self.lane_width.map_or(1, |w| w.div_ceil(REDUCE_BLOCK));
-        let units = blocks.div_ceil(unit_blocks);
-        let threads = self.threads.min(units);
-        if threads <= 1 {
-            // Sequential path: same block structure, same merge order.
-            for unit in 0..units {
-                let b0 = unit * unit_blocks;
-                let b1 = ((unit + 1) * unit_blocks).min(blocks);
-                let mut partials: Vec<R> = (b0..b1).map(|_| acc.identity()).collect();
-                match self.lane_width {
-                    None => {
-                        for block in b0..b1 {
-                            for trial in block_range(block) {
-                                partials[block - b0].absorb(self.reduce_one_trial(
-                                    trial,
-                                    stop,
-                                    &observer_factory,
-                                )?);
-                            }
-                        }
-                    }
-                    Some(width) => {
-                        let t0 = b0 * REDUCE_BLOCK;
-                        let t1 = (b1 * REDUCE_BLOCK).min(trials);
-                        self.run_lane_trials(
-                            t0,
-                            t1,
-                            width,
-                            stop,
-                            &observer_factory,
-                            None,
-                            |trial, out| partials[trial / REDUCE_BLOCK - b0].absorb(out),
-                        )
-                        .map_err(|(_, e)| e)?;
-                    }
-                }
-                for partial in partials {
-                    acc.merge(partial);
-                }
-            }
-            return Ok(acc);
-        }
-
-        type Panic = Box<dyn std::any::Any + Send + 'static>;
-        struct MergeState<R> {
-            /// Next scheduling unit to hand out (a unit is `unit_blocks`
-            /// consecutive reduce blocks; see above).
-            next_unit: usize,
-            /// Blocks merged into `acc` so far (block `merged` is the next
-            /// one the in-order merge is waiting for).
-            merged: usize,
-            /// Finished partials waiting for their in-order merge slot.
-            pending: BTreeMap<usize, R>,
-            acc: Option<R>,
-            /// Lowest-trial-index replica error observed.
-            error: Option<(usize, DynamicsError)>,
-            /// Lowest-trial-index panic payload observed.
-            panic: Option<(usize, Panic)>,
-        }
-        let prototype = acc.identity();
-        let state = Mutex::new(MergeState {
-            next_unit: 0,
-            merged: 0,
-            pending: BTreeMap::new(),
-            acc: Some(acc),
-            error: None,
-            panic: None,
-        });
-        let cv = Condvar::new();
-        // Set on the first error or panic: workers stop claiming blocks
-        // (and finish their current block early), so a failing sweep
-        // surfaces its failure promptly instead of simulating every
-        // remaining trial first — mirroring `run_indexed`'s abort flag.
-        let abort = AtomicBool::new(false);
-        // Reorder window: a worker only claims a unit whose first block is
-        // `b` once block `b − window` has been merged, bounding `pending`
-        // (and therefore live partials) to `O(threads)` however uneven the
-        // block durations are.
-        let window = threads * 2 * unit_blocks;
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let unit = {
-                        let mut st = state.lock().unwrap_or_else(PoisonError::into_inner);
-                        loop {
-                            if st.next_unit >= units || abort.load(Ordering::Relaxed) {
-                                return;
-                            }
-                            if st.next_unit * unit_blocks - st.merged < window {
-                                break;
-                            }
-                            st = cv.wait(st).unwrap_or_else(PoisonError::into_inner);
-                        }
-                        st.next_unit += 1;
-                        st.next_unit - 1
-                    };
-                    let b0 = unit * unit_blocks;
-                    let b1 = ((unit + 1) * unit_blocks).min(blocks);
-                    // Even `identity()` runs under a catch: a worker that
-                    // dies without parking its blocks would stall the
-                    // in-order pipeline, and window waiters would sleep
-                    // forever.
-                    let partials = catch_unwind(AssertUnwindSafe(|| {
-                        (b0..b1).map(|_| prototype.identity()).collect::<Vec<R>>()
-                    }));
-                    let mut partials = match partials {
-                        Ok(p) => p,
-                        Err(payload) => {
-                            let trial = b0 * REDUCE_BLOCK;
-                            let mut st = state.lock().unwrap_or_else(PoisonError::into_inner);
-                            if st.panic.as_ref().map_or(true, |(t, _)| trial < *t) {
-                                st.panic = Some((trial, payload));
-                            }
-                            abort.store(true, Ordering::Relaxed);
-                            cv.notify_all();
-                            return;
-                        }
-                    };
-                    let mut error: Option<(usize, DynamicsError)> = None;
-                    let mut panic: Option<(usize, Panic)> = None;
-                    match self.lane_width {
-                        None => {
-                            'blocks: for block in b0..b1 {
-                                for trial in block_range(block) {
-                                    if abort.load(Ordering::Relaxed) {
-                                        break 'blocks;
-                                    }
-                                    // The catch covers the reducer's `absorb`
-                                    // too: a panicking accumulator (e.g. a
-                                    // user-written reducer with an internal
-                                    // assertion) must not kill the worker, or
-                                    // the in-order merge pipeline would wait
-                                    // on its block forever.
-                                    let result = catch_unwind(AssertUnwindSafe(|| {
-                                        self.reduce_one_trial(trial, stop, &observer_factory)
-                                            .map(|item| partials[block - b0].absorb(item))
-                                    }));
-                                    match result {
-                                        Ok(Ok(())) => {}
-                                        Ok(Err(e)) => {
-                                            error = Some((trial, e));
-                                            break 'blocks;
-                                        }
-                                        Err(payload) => {
-                                            panic = Some((trial, payload));
-                                            break 'blocks;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        Some(width) => {
-                            let t0 = b0 * REDUCE_BLOCK;
-                            let t1 = (b1 * REDUCE_BLOCK).min(trials);
-                            // One catch around the whole lane group: the
-                            // kernel steps all lanes in lockstep, so a panic
-                            // cannot be pinned to a single trial — attribute
-                            // it to the group's first trial (the payload is
-                            // what propagates; the index only picks the
-                            // winner when several workers fail at once).
-                            let result = catch_unwind(AssertUnwindSafe(|| {
-                                self.run_lane_trials(
-                                    t0,
-                                    t1,
-                                    width,
-                                    stop,
-                                    &observer_factory,
-                                    Some(&abort),
-                                    |trial, out| {
-                                        partials[trial / REDUCE_BLOCK - b0].absorb(out);
-                                    },
-                                )
-                            }));
-                            match result {
-                                Ok(Ok(())) => {}
-                                Ok(Err((trial, e))) => error = Some((trial, e)),
-                                Err(payload) => panic = Some((t0, payload)),
-                            }
-                        }
-                    }
-                    let failed = error.is_some() || panic.is_some();
-                    let mut st = state.lock().unwrap_or_else(PoisonError::into_inner);
-                    if let Some((trial, e)) = error {
-                        if st.error.as_ref().map_or(true, |(t, _)| trial < *t) {
-                            st.error = Some((trial, e));
-                        }
-                    }
-                    if let Some((trial, p)) = panic {
-                        if st.panic.as_ref().map_or(true, |(t, _)| trial < *t) {
-                            st.panic = Some((trial, p));
-                        }
-                    }
-                    // Park the partials (possibly incomplete on error — the
-                    // reduction is discarded in that case, but parking them
-                    // keeps the in-order pipeline advancing), then drain
-                    // every partial whose merge slot has come up.
-                    for (i, partial) in partials.into_iter().enumerate() {
-                        st.pending.insert(b0 + i, partial);
-                    }
-                    let mut advanced = false;
-                    loop {
-                        let slot = st.merged;
-                        let Some(ready) = st.pending.remove(&slot) else { break };
-                        let acc = st.acc.as_mut().expect("accumulator present during the run");
-                        // A panicking `merge` gets the same treatment as a
-                        // panicking `absorb`: record, abort, keep the
-                        // worker alive so the scope can unwind cleanly.
-                        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| acc.merge(ready))) {
-                            let trial = slot * REDUCE_BLOCK;
-                            if st.panic.as_ref().map_or(true, |(t, _)| trial < *t) {
-                                st.panic = Some((trial, payload));
-                            }
-                            abort.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                        st.merged += 1;
-                        advanced = true;
-                    }
-                    if failed {
-                        abort.store(true, Ordering::Relaxed);
-                    }
-                    if advanced || abort.load(Ordering::Relaxed) {
-                        // Merge progress unblocks window waiters; an abort
-                        // must wake them too so they can exit.
-                        cv.notify_all();
-                    }
-                });
-            }
-        });
-        let st = state.into_inner().unwrap_or_else(PoisonError::into_inner);
-        if let Some((_, payload)) = st.panic {
-            resume_unwind(payload);
-        }
-        if let Some((_, e)) = st.error {
-            return Err(e);
-        }
-        Ok(st.acc.expect("accumulator present after the run"))
+        let blocks = 0..self.trials.div_ceil(REDUCE_BLOCK);
+        self.for_each_leaf(blocks, stop, &observer_factory, &prototype, |leaf| acc.merge(leaf))?;
+        Ok(acc)
     }
 
     /// The global trial range shard `shard` of `num_shards` covers.
@@ -843,15 +549,20 @@ impl<'g> Ensemble<'g> {
     /// not bitwise associative, so pre-merging per shard would change the
     /// final bits. Live memory is `O(shard blocks)` partials.
     ///
+    /// The leaves come off the same pipeline as [`Ensemble::run_reduced`]'s,
+    /// restricted to this shard's block range.
+    ///
     /// # Errors
     ///
-    /// Propagates the lowest-trial-index replica error of this shard, if
-    /// any.
+    /// Rejects an invalid lane configuration, even for an empty shard.
+    /// Otherwise fails as [`Ensemble::run_reduced`] does, over this
+    /// shard's units: the lowest failing unit's replica error is returned.
     ///
     /// # Panics
     ///
-    /// Panics if `num_shards == 0` or `shard >= num_shards`; replica or
-    /// reducer panics are re-raised as in [`run_indexed`].
+    /// Panics if `num_shards == 0` or `shard >= num_shards`; the lowest
+    /// failing unit's replica, observer, or reducer panic is re-raised with
+    /// its original payload.
     pub fn run_reduced_shard<O, R>(
         &self,
         shard: usize,
@@ -865,62 +576,196 @@ impl<'g> Ensemble<'g> {
         R: Reducer<Item = O::Output> + Send + Sync,
     {
         let range = self.shard_trials(shard, num_shards);
-        if range.is_empty() {
-            if let Some(width) = self.lane_width {
-                self.validate_lane_config(width)?;
-            }
-            return Ok(Vec::new());
+        self.validate_lane_config()?;
+        let lo = range.start / REDUCE_BLOCK;
+        let blocks = lo..lo + range.len().div_ceil(REDUCE_BLOCK);
+        let mut leaves = Vec::with_capacity(blocks.len());
+        self.for_each_leaf(blocks, stop, &observer_factory, reducer, |leaf| leaves.push(leaf))?;
+        Ok(leaves)
+    }
+
+    /// The leaf pipeline both reduced entry points run on: run reduce
+    /// blocks `blocks` and hand each block's partial (a reduction-tree
+    /// *leaf*) to `sink`, **in block order**.
+    ///
+    /// Workers claim *units* in order — one reduce block, or two for a
+    /// 64-lane group, which fills both partials in one lockstep run — and
+    /// run each through [`Ensemble::run_unit`]. Finished partials are
+    /// parked and drained in block order, so the sink sees the same leaf
+    /// sequence for every thread count. A unit is only claimed while it is
+    /// within a reorder window of `threads · 2` units of the drain point,
+    /// which bounds the parked partials however uneven units run. One
+    /// worker runs on the calling thread and `threads − 1` are spawned.
+    ///
+    /// One `catch_unwind` per unit covers everything user code does for
+    /// it — observer factory, `identity`, `absorb`, the kernel, and the
+    /// sink — so a panic never strands the pipeline. A failing unit stops
+    /// all claims past it; units before it run to completion; the failure
+    /// of the lowest failing unit is returned (its error, or its panic
+    /// re-raised with the original payload). The outcome is therefore a
+    /// function of the configuration alone, never of the thread or shard
+    /// count.
+    fn for_each_leaf<O, R>(
+        &self,
+        blocks: std::ops::Range<usize>,
+        stop: &StopSpec,
+        observer_factory: &(impl Fn(usize) -> O + Sync),
+        prototype: &R,
+        sink: impl FnMut(R) + Send,
+    ) -> Result<(), DynamicsError>
+    where
+        O: Observer,
+        R: Reducer<Item = O::Output> + Send + Sync,
+    {
+        enum Failure {
+            Error(DynamicsError),
+            Panic(Box<dyn std::any::Any + Send + 'static>),
         }
-        debug_assert_eq!(range.start % REDUCE_BLOCK, 0, "shard ranges are block-aligned");
-        let lo_block = range.start / REDUCE_BLOCK;
-        let shard_blocks = (range.end - range.start).div_ceil(REDUCE_BLOCK);
-        if let Some(width) = self.lane_width {
-            self.validate_lane_config(width)?;
-            // Lane groups anchor at shard-local block boundaries. That is
-            // safe without any global alignment: the counter addressing
-            // makes every trial's output bit-identical regardless of which
-            // lane group runs it, so only the per-block absorption order
-            // matters — and `run_lane_trials` delivers outputs in trial
-            // order within each group.
-            let unit_blocks = width.div_ceil(REDUCE_BLOCK);
-            let units = shard_blocks.div_ceil(unit_blocks);
-            let results: Vec<Result<Vec<R>, DynamicsError>> =
-                run_indexed(units, self.threads.min(units), |u| {
-                    let b0 = lo_block + u * unit_blocks;
-                    let b1 = (b0 + unit_blocks).min(lo_block + shard_blocks);
-                    let mut partials: Vec<R> = (b0..b1).map(|_| reducer.identity()).collect();
-                    let t0 = b0 * REDUCE_BLOCK;
-                    let t1 = (b1 * REDUCE_BLOCK).min(self.trials);
-                    self.run_lane_trials(
-                        t0,
-                        t1,
-                        width,
-                        stop,
-                        &observer_factory,
-                        None,
-                        |trial, out| {
-                            partials[trial / REDUCE_BLOCK - b0].absorb(out);
-                        },
-                    )
-                    .map_err(|(_, e)| e)?;
-                    Ok(partials)
-                });
-            let mut leaves = Vec::with_capacity(shard_blocks);
-            for unit in results {
-                leaves.extend(unit?);
-            }
-            return Ok(leaves);
+        struct Pipeline<R, S> {
+            next_unit: usize,
+            /// The lowest failed unit (`units` while none has): no unit
+            /// from here on is claimed.
+            failed_unit: usize,
+            failure: Option<Failure>,
+            /// Leaves handed to the sink so far (block offset into `blocks`).
+            drained: usize,
+            /// Finished partials waiting for their in-order turn.
+            pending: BTreeMap<usize, R>,
+            sink: S,
         }
-        let results = run_indexed(shard_blocks, self.threads.min(shard_blocks), |b| {
-            let block = lo_block + b;
-            let block_range = block * REDUCE_BLOCK..((block + 1) * REDUCE_BLOCK).min(self.trials);
-            let mut partial = reducer.identity();
-            for trial in block_range {
-                partial.absorb(self.reduce_one_trial(trial, stop, &observer_factory)?);
-            }
-            Ok(partial)
+        // A unit spans the blocks one lane group covers (a scalar "group"
+        // is one trial wide).
+        let unit_blocks = self.lane_width.unwrap_or(1).div_ceil(REDUCE_BLOCK);
+        let units = blocks.len().div_ceil(unit_blocks);
+        let threads = self.threads.min(units).max(1);
+        let window = threads * 2 * unit_blocks;
+        let state = Mutex::new(Pipeline {
+            next_unit: 0,
+            failed_unit: units,
+            failure: None,
+            drained: 0,
+            pending: BTreeMap::new(),
+            sink,
         });
-        results.into_iter().collect()
+        let lock = || state.lock().unwrap_or_else(PoisonError::into_inner);
+        let cv = Condvar::new();
+        let worker = || loop {
+            let unit = {
+                let mut st = lock();
+                while st.next_unit < st.failed_unit
+                    && st.next_unit * unit_blocks >= st.drained + window
+                {
+                    st = cv.wait(st).unwrap_or_else(PoisonError::into_inner);
+                }
+                if st.next_unit >= st.failed_unit {
+                    return;
+                }
+                st.next_unit += 1;
+                st.next_unit - 1
+            };
+            let b0 = unit * unit_blocks;
+            let b1 = (b0 + unit_blocks).min(blocks.len());
+            let first_trial = (blocks.start + b0) * REDUCE_BLOCK;
+            let trials = first_trial..((blocks.start + b1) * REDUCE_BLOCK).min(self.trials);
+            let mut ran = false;
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                let mut partials: Vec<R> = (b0..b1).map(|_| prototype.identity()).collect();
+                self.run_unit(trials, stop, observer_factory, |trial, out| {
+                    partials[(trial - first_trial) / REDUCE_BLOCK].absorb(out);
+                })?;
+                ran = true;
+                let mut guard = lock();
+                let st = &mut *guard;
+                st.pending.extend((b0..).zip(partials));
+                let before = st.drained;
+                while let Some(leaf) = st.pending.remove(&st.drained) {
+                    (st.sink)(leaf);
+                    st.drained += 1;
+                }
+                if st.drained > before {
+                    cv.notify_all();
+                }
+                Ok(())
+            }));
+            let failure = match result {
+                Ok(Ok(())) => continue,
+                Ok(Err(e)) => Failure::Error(e),
+                Err(payload) => Failure::Panic(payload),
+            };
+            let mut st = lock();
+            // A panic after the unit's trials ran came from the sink, while
+            // it drained leaf `drained` — that leaf's unit is the one failing.
+            let failed = if ran { st.drained / unit_blocks } else { unit };
+            if failed < st.failed_unit {
+                st.failed_unit = failed;
+                st.failure = Some(failure);
+            }
+            cv.notify_all();
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..threads {
+                scope.spawn(worker);
+            }
+            worker();
+        });
+        match state.into_inner().unwrap_or_else(PoisonError::into_inner).failure {
+            None => Ok(()),
+            Some(Failure::Error(e)) => Err(e),
+            Some(Failure::Panic(payload)) => resume_unwind(payload),
+        }
+    }
+
+    /// Run `trials` — one scheduling unit — and feed each trial's observed
+    /// output to `absorb` in trial order. This is the only place the scalar
+    /// and lane kernels part ways; per-trial outputs are bit-identical
+    /// either way, so everything above it is shared.
+    fn run_unit<O: Observer>(
+        &self,
+        trials: std::ops::Range<usize>,
+        stop: &StopSpec,
+        observer_factory: &impl Fn(usize) -> O,
+        mut absorb: impl FnMut(usize, O::Output),
+    ) -> Result<(), DynamicsError> {
+        let Some(width) = self.lane_width else {
+            for trial in trials {
+                let mut sim = self.make_sim()?;
+                let mut rng = self.trial_stream(trial);
+                let mut observer = observer_factory(trial);
+                let summary = sim.run_observed(stop, &mut rng, &mut observer)?;
+                absorb(trial, observer.finish(&summary));
+            }
+            return Ok(());
+        };
+        // One kernel serves every lane group of the unit: `reset` re-points
+        // the stream/state buffers at the next group without reallocating
+        // (a tail group resets to a narrower lane count).
+        let mut kernel: Option<LaneKernel<'_>> = None;
+        for t in trials.clone().step_by(width) {
+            let lanes = width.min(trials.end - t);
+            let kernel = match kernel.as_mut() {
+                Some(k) => {
+                    k.reset(t as u64, lanes);
+                    k
+                }
+                None => kernel.insert(
+                    LaneKernel::new(
+                        self.game,
+                        self.protocol,
+                        &self.start,
+                        self.base_seed,
+                        t as u64,
+                        lanes,
+                    )?
+                    .with_recording(self.record),
+                ),
+            };
+            let observers = (t..t + lanes).map(observer_factory).collect();
+            let outputs = kernel.run_observed(stop, observers).map_err(|(_, e)| e)?;
+            for (trial, out) in (t..).zip(outputs) {
+                absorb(trial, out);
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1115,6 +960,72 @@ mod tests {
             );
     }
 
+    /// A sweep reports the failure of its lowest failing unit: unit 0's
+    /// trial-3 panic — not unit 1's trial-32 panic, which another worker
+    /// hits first — for every thread count, the sharded entry point, and
+    /// both kernels.
+    #[test]
+    fn the_lowest_failing_unit_is_reported_for_every_thread_count() {
+        use crate::observe::FinalSummary;
+        use crate::reduce::ConvergenceHistogram;
+        use std::time::{Duration, Instant};
+        let game = two_links(20);
+        let start = State::from_counts(&game, vec![15, 5]).unwrap();
+        let stop = StopSpec::max_rounds(5);
+        let sweep = |lanes: Option<usize>, threads: usize, sharded: bool| -> String {
+            let mut e =
+                Ensemble::new(&game, ImitationProtocol::paper_default().into(), start.clone())
+                    .unwrap()
+                    .trials(64)
+                    .threads(threads)
+                    .rng_mode(RngMode::Counter);
+            if let Some(w) = lanes {
+                e = e.lane_width(w);
+            }
+            let failed_32 = AtomicBool::new(false);
+            let factory = |trial: usize| {
+                if trial == 2 && threads > 1 {
+                    // Hold unit 0 until unit 1 (on the other worker) has
+                    // failed, so the later unit's failure comes first.
+                    let since = Instant::now();
+                    while !failed_32.load(Ordering::SeqCst) && since.elapsed().as_secs() < 10 {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+                if trial == 3 || trial == 32 {
+                    failed_32.fetch_or(trial == 32, Ordering::SeqCst);
+                    panic!("observer factory failed at trial {trial}");
+                }
+                FinalSummary
+            };
+            let histogram = ConvergenceHistogram::new();
+            let panic = catch_unwind(AssertUnwindSafe(|| {
+                let _ = if sharded {
+                    e.run_reduced_shard(0, 1, &stop, factory, &histogram).map(|_| ())
+                } else {
+                    e.run_reduced(&stop, factory, histogram.clone()).map(|_| ())
+                };
+            }))
+            .expect_err("the sweep must fail");
+            panic.downcast_ref::<String>().cloned().unwrap_or_default()
+        };
+        for lanes in [None, Some(32)] {
+            for threads in [1, 2, 8] {
+                assert_eq!(
+                    sweep(lanes, threads, false),
+                    "observer factory failed at trial 3",
+                    "lanes {lanes:?} threads {threads}"
+                );
+            }
+            assert_eq!(
+                sweep(lanes, 8, true),
+                "observer factory failed at trial 3",
+                "lanes {lanes:?} shard 0 of 1"
+            );
+        }
+    }
+
     #[test]
     fn sharded_leaves_merge_bit_identical_to_run_reduced() {
         use crate::observe::FinalSummary;
@@ -1306,6 +1217,14 @@ mod tests {
             .rng_mode(RngMode::Xoshiro)
             .lane_width(8)
             .run_reduced_shard(0, 1, &stop, |_t| FinalSummary, &ConvergenceHistogram::new())
+            .unwrap_err();
+        assert!(err.to_string().contains("counter-mode RNG"), "got: {err}");
+        // A zero-trial sweep validates too, exactly as an empty shard does.
+        let err = base()
+            .trials(0)
+            .rng_mode(RngMode::Xoshiro)
+            .lane_width(8)
+            .run_reduced(&stop, |_t| FinalSummary, ConvergenceHistogram::new())
             .unwrap_err();
         assert!(err.to_string().contains("counter-mode RNG"), "got: {err}");
         // The materializing path is scalar-only.

@@ -35,6 +35,10 @@
 //! the per-round potential delta walks changed resources in ascending id
 //! order, as `Simulation::step` does.
 //!
+//! Stop conditions and recording are not re-implemented here: each lane
+//! runs through the crate's shared run driver, the one `Simulation` uses,
+//! so a lane stops and records exactly where its scalar run would.
+//!
 //! A lane whose trial finishes (stop condition) or fails (sampling error)
 //! *retires*: it drops out of the union windows and pair masks, and the
 //! remaining lanes continue unperturbed — counter addressing makes their
@@ -65,12 +69,13 @@ use congames_model::{
 use congames_sampling::{multinomial_with_rest_into, Dispatch, LaneStreams};
 use congames_simd as simd;
 
+use crate::driver::{RoundState, RunDriver, StateView};
 use crate::engine::{exploration_mu, imitation_mu, PairBuffer};
 use crate::error::DynamicsError;
 use crate::observe::Observer;
 use crate::protocol::{ImitationProtocol, Protocol, SelfSampling};
-use crate::stopping::{RunSummary, StopCondition, StopReason, StopSpec};
-use crate::trajectory::{capture_record, RecordConfig};
+use crate::stopping::StopSpec;
+use crate::trajectory::RecordConfig;
 
 /// Lane widths the ensemble scheduler accepts: the power-of-two block
 /// sizes that divide (8, 16, 32) or pair up (64) the 32-trial reduce
@@ -429,14 +434,6 @@ impl<'g> LaneKernel<'g> {
     /// The sampling error that retired lane `l`, if any.
     pub fn lane_error(&self, l: usize) -> Option<&DynamicsError> {
         self.errors[l].as_ref()
-    }
-
-    /// Gather lane `l` into the scratch scalar state and refresh its
-    /// caches (used by observation and expensive stop checks).
-    fn gather(&mut self, l: usize) {
-        self.scratch.assign_lane_column(&self.counts, &self.loads, self.lanes, l);
-        self.scratch.ensure_latency_cache(self.game);
-        self.scratch.ensure_support_index(self.game);
     }
 
     /// Retire lane `l`: remove its counts from the union support so the
@@ -874,63 +871,14 @@ impl<'g> LaneKernel<'g> {
         }
     }
 
-    /// Per-lane mirror of the scalar stop check (`Simulation::check_stop`
-    /// with no hook, so no condition is deferred). `gathered` memoizes the
-    /// scratch gather across the conditions of one lane-round.
-    fn check_stop_lane(
-        &mut self,
-        stop: &StopSpec,
-        l: usize,
-        gathered: &mut bool,
-    ) -> Option<StopReason> {
-        let expensive_due = self.round % stop.check_every() == 0;
-        for cond in stop.conditions() {
-            match cond {
-                StopCondition::MaxRounds(r) if self.round >= *r => {
-                    return Some(StopReason::MaxRounds);
-                }
-                StopCondition::PotentialAtMost(v) if self.potentials[l] <= *v => {
-                    return Some(StopReason::PotentialReached);
-                }
-                StopCondition::ImitationStable if expensive_due => {
-                    if !*gathered {
-                        self.gather(l);
-                        *gathered = true;
-                    }
-                    let nu = self.protocol.stability_threshold(&self.params);
-                    if congames_model::is_imitation_stable(self.game, &self.scratch, nu) {
-                        return Some(StopReason::ImitationStable);
-                    }
-                }
-                StopCondition::ApproxEquilibrium(eq) if expensive_due => {
-                    if !*gathered {
-                        self.gather(l);
-                        *gathered = true;
-                    }
-                    if eq.is_satisfied(self.game, &self.scratch) {
-                        return Some(StopReason::ApproxEquilibrium);
-                    }
-                }
-                StopCondition::NashEquilibrium { tol } if expensive_due => {
-                    if !*gathered {
-                        self.gather(l);
-                        *gathered = true;
-                    }
-                    if congames_model::is_nash_equilibrium(self.game, &self.scratch, *tol) {
-                        return Some(StopReason::NashEquilibrium);
-                    }
-                }
-                _ => {}
-            }
-        }
-        None
-    }
-
     /// Run every lane until its stop condition fires, streaming each
-    /// lane's recorded rounds into its observer — the lane-group analogue
-    /// of `Simulation::run_observed`, with the same record cadence
-    /// (start record, cadence records, deduplicated stop record) per
-    /// lane. Outputs are returned in lane (= trial) order.
+    /// lane's recorded rounds into its observer. Each lane goes through
+    /// the same run driver as `Simulation::run_observed` — one stop
+    /// evaluation and one record cadence (start record, cadence records,
+    /// deduplicated stop record) — reading the lane's state, gathered into
+    /// scratch at most once per lane-round and only when a record or a
+    /// due expensive stop condition needs it. Outputs are returned in lane
+    /// (= trial) order.
     ///
     /// # Errors
     ///
@@ -952,56 +900,38 @@ impl<'g> LaneKernel<'g> {
         assert_eq!(observers.len(), w, "one observer per lane");
         let mut observers: Vec<Option<O>> = observers.into_iter().map(Some).collect();
         let mut outputs: Vec<Option<O::Output>> = (0..w).map(|_| None).collect();
-        let start_round = self.round;
+        let driver = RunDriver::new(stop, self.record, self.round);
+        let nu = self.protocol.stability_threshold(&self.params);
         loop {
             for l in 0..w {
                 if !self.active[l] {
                     continue;
                 }
-                let recording = self.record.every > 0
-                    && (self.round == start_round || self.round % self.record.every == 0);
-                let mut gathered = false;
-                if recording {
-                    self.gather(l);
-                    gathered = true;
-                    let record = capture_record(
-                        self.game,
-                        &self.scratch,
-                        self.round,
-                        self.potentials[l],
-                        self.last_migrations[l],
-                        self.record.approx.as_ref(),
-                        false,
-                    );
-                    observers[l].as_mut().expect("active lane has its observer").observe(&record);
-                }
-                if let Some(reason) = self.check_stop_lane(stop, l, &mut gathered) {
-                    if self.record.every > 0 && !recording {
-                        if !gathered {
-                            self.gather(l);
-                        }
-                        let record = capture_record(
-                            self.game,
-                            &self.scratch,
-                            self.round,
-                            self.potentials[l],
-                            self.last_migrations[l],
-                            self.record.approx.as_ref(),
-                            false,
-                        );
-                        observers[l]
-                            .as_mut()
-                            .expect("active lane has its observer")
-                            .observe(&record);
-                    }
-                    let summary =
-                        RunSummary { reason, rounds: self.round, potential: self.potentials[l] };
+                let at = RoundState {
+                    round: self.round,
+                    potential: self.potentials[l],
+                    migrations: self.last_migrations[l],
+                    shock: false,
+                    deferred: false,
+                    nu,
+                };
+                let mut view = LaneView {
+                    game: self.game,
+                    scratch: &mut self.scratch,
+                    counts: &self.counts,
+                    loads: &self.loads,
+                    lanes: w,
+                    lane: l,
+                    gathered: false,
+                };
+                let observer = observers[l].as_mut().expect("active lane has its observer");
+                if let Some(summary) = driver.visit(&at, &mut view, observer) {
                     let observer = observers[l].take().expect("active lane has its observer");
                     outputs[l] = Some(observer.finish(&summary));
                     self.retire(l);
                 }
             }
-            if !self.active.iter().any(|&a| a) {
+            if self.num_active == 0 {
                 break;
             }
             self.step();
@@ -1015,11 +945,36 @@ impl<'g> LaneKernel<'g> {
     }
 }
 
+/// Lane `lane` of a group as the run driver reads it: gathered into the
+/// kernel's scratch state on first use, at most once per lane-round.
+struct LaneView<'a> {
+    game: &'a CongestionGame,
+    scratch: &'a mut State,
+    counts: &'a [u64],
+    loads: &'a [u64],
+    lanes: usize,
+    lane: usize,
+    gathered: bool,
+}
+
+impl StateView for LaneView<'_> {
+    fn get(&mut self) -> (&CongestionGame, &State) {
+        if !self.gathered {
+            self.scratch.assign_lane_column(self.counts, self.loads, self.lanes, self.lane);
+            self.scratch.ensure_latency_cache(self.game);
+            self.scratch.ensure_support_index(self.game);
+            self.gathered = true;
+        }
+        (self.game, self.scratch)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::Simulation;
     use crate::protocol::ImitationProtocol;
+    use crate::stopping::StopCondition;
     use congames_model::Affine;
     use congames_sampling::{DrawStream, RngMode};
 

@@ -87,6 +87,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod driver;
 mod engine;
 mod ensemble;
 mod error;

@@ -1,7 +1,8 @@
 //! Stopping conditions for simulation runs.
 
-use congames_model::ApproxEquilibrium;
+use congames_model::{is_imitation_stable, is_nash_equilibrium, ApproxEquilibrium};
 
+use crate::driver::{RoundState, StateView};
 use crate::trajectory::Trajectory;
 
 /// A condition that ends a run.
@@ -105,6 +106,52 @@ impl StopSpec {
     /// The expensive-check cadence.
     pub fn check_every(&self) -> u64 {
         self.check_every
+    }
+
+    /// The condition that ends a run at round `at`, if any: the first one
+    /// (in order) that holds. Cheap conditions read `at`; expensive ones
+    /// run on cadence rounds only and read `view`, which materializes the
+    /// state on first use. While `at.deferred`, only the round budget can
+    /// stop the run.
+    pub(crate) fn evaluate(
+        &self,
+        at: &RoundState,
+        view: &mut impl StateView,
+    ) -> Option<StopReason> {
+        let expensive_due = !at.deferred && at.round % self.check_every == 0;
+        for cond in &self.conditions {
+            let (holds, reason) = match cond {
+                StopCondition::MaxRounds(r) => (at.round >= *r, StopReason::MaxRounds),
+                StopCondition::PotentialAtMost(v) => {
+                    (!at.deferred && at.potential <= *v, StopReason::PotentialReached)
+                }
+                StopCondition::ImitationStable => (
+                    expensive_due && {
+                        let (game, state) = view.get();
+                        is_imitation_stable(game, state, at.nu)
+                    },
+                    StopReason::ImitationStable,
+                ),
+                StopCondition::ApproxEquilibrium(eq) => (
+                    expensive_due && {
+                        let (game, state) = view.get();
+                        eq.is_satisfied(game, state)
+                    },
+                    StopReason::ApproxEquilibrium,
+                ),
+                StopCondition::NashEquilibrium { tol } => (
+                    expensive_due && {
+                        let (game, state) = view.get();
+                        is_nash_equilibrium(game, state, *tol)
+                    },
+                    StopReason::NashEquilibrium,
+                ),
+            };
+            if holds {
+                return Some(reason);
+            }
+        }
+        None
     }
 }
 

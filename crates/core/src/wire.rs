@@ -917,6 +917,11 @@ pub fn decode_shard_file<R: WireReduce>(
     let mut cur = WireCursor::new(bytes);
     cur.take(payload_at, "header")?;
     let blocks = cur.u32("block count")?;
+    // Every frame starts with a 4-byte length, so the payload bounds the
+    // count before anything is allocated for it.
+    if blocks as usize > cur.remaining() / 4 {
+        return Err(WireError::Truncated { context: "block frames" });
+    }
     let mut out = Vec::with_capacity(blocks as usize);
     for _ in 0..blocks {
         let frame_len = cur.u32("frame length")? as usize;
@@ -1092,6 +1097,22 @@ mod tests {
         // Cutting into the header names the header field instead.
         let err = decode_shard_header(&bytes[..20]).unwrap_err();
         assert_eq!(err, WireError::Truncated { context: "trial count" });
+    }
+
+    #[test]
+    fn oversized_block_count_is_truncation_not_an_allocation() {
+        let bytes = encode_shard_file(&sample_header(), &[sample_welford(&[1.0])]);
+        let mut frame = Vec::new();
+        sample_welford(&[1.0]).encode_partial(&mut frame);
+        // Payload = block count + one length-prefixed frame. Claim u32::MAX
+        // blocks and re-seal the checksum so only the count is wrong.
+        let payload_at = bytes.len() - (4 + 4 + frame.len());
+        let mut forged = bytes.clone();
+        forged[payload_at..payload_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let checksum = fnv1a64(&forged[payload_at..]);
+        forged[payload_at - 16..payload_at - 8].copy_from_slice(&checksum.to_le_bytes());
+        let err = decode_shard_file(&Welford::new(), &forged).unwrap_err();
+        assert_eq!(err, WireError::Truncated { context: "block frames" });
     }
 
     #[test]

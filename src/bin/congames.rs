@@ -668,14 +668,13 @@ fn print_convergence_report(hist: &ConvergenceHistogram) {
     }
 }
 
-/// Run `--trials` independent replicas in parallel and print per-ensemble
-/// summaries; the numbers are identical for every `--threads` value.
-fn simulate_ensemble(
-    game: &CongestionGame,
+/// The ensemble `run --trials` and `shard` sweep: engine, RNG backend,
+/// trials, seed, threads, lane width, and scenario hook from `opts`.
+fn build_ensemble<'g>(
+    game: &'g CongestionGame,
     opts: &Options,
     start: State,
-    stop: &StopSpec,
-) -> Result<(), String> {
+) -> Result<Ensemble<'g>, String> {
     let mut ensemble = Ensemble::new(game, opts.protocol()?, start)
         .map_err(|e| e.to_string())?
         .engine(opts.engine)
@@ -691,6 +690,18 @@ fn simulate_ensemble(
         ensemble =
             ensemble.with_round_hook(move || Box::new(ScheduleCursor::new(Arc::clone(&schedule))));
     }
+    Ok(ensemble)
+}
+
+/// Run `--trials` independent replicas in parallel and print per-ensemble
+/// summaries; the numbers are identical for every `--threads` value.
+fn simulate_ensemble(
+    game: &CongestionGame,
+    opts: &Options,
+    start: State,
+    stop: &StopSpec,
+) -> Result<(), String> {
+    let ensemble = build_ensemble(game, opts, start)?;
     println!("ensemble of {} trials ({} threads, seed {}):", opts.trials, opts.threads, opts.seed);
     match opts.reduce {
         None => {
@@ -746,21 +757,7 @@ fn shard(game: &CongestionGame, opts: &Options) -> Result<(), String> {
     println!("{}", opts.repro_header());
     let start = start_state(game, opts)?;
     let stop = stop_spec(opts);
-    let mut ensemble = Ensemble::new(game, opts.protocol()?, start)
-        .map_err(|e| e.to_string())?
-        .engine(opts.engine)
-        .rng_mode(opts.rng)
-        .trials(opts.trials)
-        .base_seed(opts.seed)
-        .threads(opts.threads);
-    if let Some(w) = opts.lanes {
-        ensemble = ensemble.lane_width(w);
-    }
-    if let Some(sc) = &opts.scenario {
-        let schedule = Arc::clone(&sc.schedule);
-        ensemble =
-            ensemble.with_round_hook(move || Box::new(ScheduleCursor::new(Arc::clone(&schedule))));
-    }
+    let ensemble = build_ensemble(game, opts, start)?;
     let range = ensemble.shard_trials(shard, num_shards);
     let header = ShardHeader {
         base_seed: opts.seed,

@@ -9,10 +9,11 @@
 //! byte-identical for every lane width × thread count combination.
 
 use congames::dynamics::{
-    EngineKind, Ensemble, FinalSummary, ImitationProtocol, LaneKernel, MapItem, Protocol,
-    RunSummary, ScalarStats, Simulation, StopCondition, StopSpec, LANE_WIDTHS,
+    EngineKind, Ensemble, FinalSummary, ImitationProtocol, LaneKernel, MapItem, Observer, Protocol,
+    RecordConfig, RoundRecord, RunSummary, ScalarStats, Simulation, StopCondition, StopReason,
+    StopSpec, LANE_WIDTHS,
 };
-use congames::model::{CongestionGame, State};
+use congames::model::{ApproxEquilibrium, CongestionGame, State};
 use congames::sampling::{DrawStream, RngMode};
 use congames_testutil::games;
 use congames_testutil::rng::fixture_seed;
@@ -175,4 +176,117 @@ fn lane_quantile_reductions_match_scalar_bits() {
     for width in LANE_WIDTHS {
         assert_eq!(scalar, run(Some(width)), "lanes={width} changed the quantile sketch");
     }
+}
+
+/// A run's observable output, bit for bit: every record the observer saw
+/// (floats as raw bits) plus the final summary.
+type RunBits = (Vec<[u64; 9]>, (StopReason, u64, u64));
+
+/// Observer that keeps the full record stream and the summary.
+struct Tape(Vec<[u64; 9]>);
+
+impl Observer for Tape {
+    type Output = RunBits;
+
+    fn observe(&mut self, r: &RoundRecord) {
+        self.0.push([
+            r.round,
+            r.potential.to_bits(),
+            r.l_av.to_bits(),
+            r.l_av_plus.to_bits(),
+            r.max_latency.to_bits(),
+            r.migrations,
+            r.support as u64,
+            r.unsatisfied_fraction.map_or(u64::MAX, f64::to_bits),
+            r.shock as u64,
+        ]);
+    }
+
+    fn finish(self, s: &RunSummary) -> RunBits {
+        (self.0, (s.reason, s.rounds, s.potential.to_bits()))
+    }
+}
+
+/// Lanes and scalar counter-mode runs share one stop/record contract: for
+/// every stop-condition kind, record cadence (off, 1, 3 — so stop records
+/// fall off the cadence) and `check_every` (1, 4), each lane's record
+/// stream and summary equal the scalar run of its trial, at widths 8 and
+/// 64.
+#[test]
+fn lane_records_and_summaries_match_scalar_for_every_stop_kind_and_cadence() {
+    let game = games::affine_singleton(120);
+    let start = games::geometric_state(&game);
+    let protocol: Protocol = ImitationProtocol::paper_default().into();
+    let base_seed = fixture_seed("lanes/stop-record", 0);
+    let cap = 60;
+    // A potential target some lanes reach mid-run: trial 0's at round 5.
+    let target = {
+        let mut sim = Simulation::new(&game, protocol, start.clone()).expect("valid simulation");
+        let mut rng = DrawStream::for_trial(RngMode::Counter, base_seed, 0);
+        sim.run(&StopSpec::max_rounds(5), &mut rng).expect("scalar run").potential
+    };
+    let eq = ApproxEquilibrium::new(0.05, 0.05, 0.0).expect("valid approx equilibrium");
+    let kinds = [
+        StopCondition::MaxRounds(cap),
+        StopCondition::PotentialAtMost(target),
+        StopCondition::ImitationStable,
+        StopCondition::ApproxEquilibrium(eq),
+        StopCondition::NashEquilibrium { tol: 0.5 },
+    ];
+    let mut reasons = Vec::new();
+    let mut off_cadence_stops = 0;
+    for kind in kinds {
+        let approx = matches!(kind, StopCondition::ApproxEquilibrium(_)).then_some(eq);
+        for every in [0, 1, 3] {
+            let record = RecordConfig { every, approx: approx.filter(|_| every > 0) };
+            for check_every in [1, 4] {
+                let stop = StopSpec::new(vec![kind, StopCondition::MaxRounds(cap)])
+                    .with_check_every(check_every);
+                let scalar: Vec<RunBits> = (0..64)
+                    .map(|trial| {
+                        let mut sim = Simulation::new(&game, protocol, start.clone())
+                            .expect("valid simulation")
+                            .with_recording(record);
+                        let mut rng = DrawStream::for_trial(RngMode::Counter, base_seed, trial);
+                        let mut tape = Tape(Vec::new());
+                        let summary =
+                            sim.run_observed(&stop, &mut rng, &mut tape).expect("scalar run");
+                        tape.finish(&summary)
+                    })
+                    .collect();
+                for width in [8, 64] {
+                    let mut kernel = LaneKernel::new(&game, protocol, &start, base_seed, 0, width)
+                        .expect("valid lane kernel")
+                        .with_recording(record);
+                    let lanes = kernel
+                        .run_observed(&stop, (0..width).map(|_| Tape(Vec::new())).collect())
+                        .expect("lane run");
+                    assert_eq!(
+                        lanes,
+                        scalar[..width],
+                        "{kind:?} record every {every} check_every {check_every} width {width}"
+                    );
+                }
+                for (records, (reason, rounds, _)) in &scalar {
+                    reasons.push(*reason);
+                    if every == 3 && rounds % 3 != 0 {
+                        assert_eq!(records.last().map(|r| r[0]), Some(*rounds));
+                        off_cadence_stops += 1;
+                    }
+                }
+            }
+        }
+    }
+    // The fixture must exercise what the pin guards: every stop reason
+    // fires somewhere, and stop records do fall off the cadence.
+    for reason in [
+        StopReason::MaxRounds,
+        StopReason::PotentialReached,
+        StopReason::ImitationStable,
+        StopReason::ApproxEquilibrium,
+        StopReason::NashEquilibrium,
+    ] {
+        assert!(reasons.contains(&reason), "no run stopped with {reason:?}");
+    }
+    assert!(off_cadence_stops > 0, "no stop record fell off the cadence");
 }

@@ -178,8 +178,11 @@ fn bench_rng_throughput(c: &mut Criterion) {
         let mut rng = CounterRng::for_trial(1, 0);
         let mut i = 0u64;
         b.iter(|| {
-            // Walk sites the way the player kernel does — reposition, then
-            // draw — so the positioning cost is part of the measurement.
+            // Walk sites the way the player kernel does for each player it
+            // draws — reposition, then draw — so the positioning cost is
+            // part of the measurement. (Under counter mode that kernel
+            // draws only players on movable origins; the per-site cost
+            // measured here is unchanged.)
             rng.begin_site(i);
             i = i.wrapping_add(1);
             black_box(rng.next_u64())

@@ -5,7 +5,13 @@
 //! simultaneously — but with different cost profiles:
 //!
 //! * [`EngineKind::PlayerLevel`] iterates players one by one (`O(n)` per
-//!   round). It mirrors a naive implementation and serves as ground truth.
+//!   round with a sequential stream). It mirrors a naive implementation and
+//!   serves as ground truth. With an addressed stream (counter mode, see
+//!   [`DrawRng::is_addressed`]) it draws only players whose origin has a
+//!   reachable destination with `μ > 0`, which near a stable state is a
+//!   small fraction of `n`; the skipped players would not have moved, and
+//!   no other player's draws depend on them, so the trajectory is
+//!   bit-identical to the full walk.
 //! * [`EngineKind::Aggregate`] exploits anonymity: players on the same
 //!   origin strategy face identical probabilities, so the joint outcome per
 //!   origin is a multinomial over destinations, sampled in `O(S²)` per round
@@ -25,7 +31,7 @@ use crate::error::DynamicsError;
 use crate::expectation::PairFlow;
 use crate::hook::RoundHook;
 use crate::observe::Observer;
-use crate::protocol::{ImitationProtocol, Protocol, SelfSampling};
+use crate::protocol::{ExplorationProtocol, ImitationProtocol, Protocol, SelfSampling};
 use crate::stopping::{RunOutcome, RunSummary, StopSpec};
 use crate::trajectory::{RecordConfig, Trajectory};
 
@@ -35,7 +41,9 @@ pub enum EngineKind {
     /// Multinomial sampling per origin strategy; `O(S²)` per round.
     #[default]
     Aggregate,
-    /// Explicit per-player iteration; `O(n)` per round. Ground truth.
+    /// Explicit per-player iteration; `O(n)` per round with a sequential
+    /// stream, only the players who can move with an addressed one. Ground
+    /// truth.
     PlayerLevel,
 }
 
@@ -387,6 +395,9 @@ pub struct Simulation<'g> {
     pairs_buf: PairBuffer,
     counts_buf: Vec<u64>,
     mu_table: MuTable,
+    /// Per local strategy of the class being decided: whether a player on
+    /// it can move this round (see [`Simulation::mark_movable_origins`]).
+    movable_buf: Vec<bool>,
     moves_buf: Vec<(usize, StrategyId)>,
     commit_buf: Vec<(u32, u32)>,
 }
@@ -460,6 +471,7 @@ impl<'g> Simulation<'g> {
             pairs_buf: PairBuffer::default(),
             counts_buf: Vec::new(),
             mu_table: MuTable::default(),
+            movable_buf: Vec::new(),
             moves_buf: Vec::new(),
             commit_buf: Vec::new(),
         })
@@ -515,7 +527,10 @@ impl<'g> Simulation<'g> {
     }
 
     /// Lifetime counters of the player-level kernel's μ memo (all zero
-    /// until a [`EngineKind::PlayerLevel`] round runs).
+    /// until a [`EngineKind::PlayerLevel`] round runs). With an addressed
+    /// stream (counter mode) they cover only the players the kernel drew
+    /// — those on movable origins — so they are lower than a sequential
+    /// stream's for the same trajectory.
     pub fn mu_memo_stats(&self) -> MuMemoStats {
         self.mu_table.stats
     }
@@ -786,7 +801,12 @@ impl<'g> Simulation<'g> {
         migrations.clear();
         match self.engine {
             EngineKind::Aggregate => self.aggregate_round(rng, &mut migrations)?,
-            EngineKind::PlayerLevel => self.player_round(rng, &mut migrations)?,
+            // Monomorphized per stream kind, so a sequential stream's
+            // player loop carries no mask test at all.
+            EngineKind::PlayerLevel if rng.is_addressed() => {
+                self.player_round::<true>(rng, &mut migrations)?
+            }
+            EngineKind::PlayerLevel => self.player_round::<false>(rng, &mut migrations)?,
         }
         // Apply simultaneously and update the potential incrementally:
         // each changed resource contributes one batched `Latency::sum_range`
@@ -867,7 +887,74 @@ impl<'g> Simulation<'g> {
         result
     }
 
-    fn player_round(
+    /// Fill `movable` (indexed by local strategy of class `ci`) with
+    /// whether a player on that origin can move this round, and return
+    /// whether any can.
+    ///
+    /// An occupied origin is movable iff some destination either branch
+    /// of the protocol could pick this round has `μ > 0` in the pre-round
+    /// state: the imitation branch reaches occupied strategies (every
+    /// class strategy with virtual agents), the exploration branch every
+    /// class strategy. `μ` comes from [`imitation_mu`]/[`exploration_mu`]
+    /// exactly as the player loop computes it — not from
+    /// [`Simulation::for_each_pair`]'s `prob > 0`, which can underflow.
+    ///
+    /// Every origin is marked movable (the full walk) when the mask would
+    /// cost more `μ` evaluations (occupied origins × reachable
+    /// destinations) than the class has players, so large-`S` classes keep
+    /// the plain per-player cost. Only called for addressed streams.
+    fn mark_movable_origins(
+        &self,
+        ci: usize,
+        imit: Option<ImitationProtocol>,
+        expl: Option<ExplorationProtocol>,
+        explore_prob: f64,
+        movable: &mut Vec<bool>,
+    ) -> bool {
+        let class = &self.game.classes()[ci];
+        let (s_c, n_c) = (class.num_strategies(), class.players());
+        movable.clear();
+        movable.resize(s_c, true);
+        let Some(occ) = self.state.occupied(&self.game, ci) else {
+            return true;
+        };
+        // The branches the player loop can take: it explores iff a
+        // uniform `[0, 1)` variate falls below a positive `explore_prob`.
+        let imit = imit.filter(|_| explore_prob < 1.0 || explore_prob.is_nan());
+        let expl = expl.filter(|_| explore_prob > 0.0);
+        let virtual_agents = imit.is_some_and(|p| p.virtual_agents());
+        let support_dest = expl.is_none() && !virtual_agents;
+        let reachable = if support_dest { occ.len() } else { s_c };
+        if (occ.len() as u64).saturating_mul(reachable as u64) > n_c {
+            return true;
+        }
+        let lo = class.strategy_range().start;
+        let mut any = false;
+        for &from in occ {
+            let l_from = self.state.strategy_latency(&self.game, from);
+            let can_move = |to: StrategyId| {
+                if to == from {
+                    return false;
+                }
+                let gain = l_from - self.state.latency_after_move(&self.game, from, to);
+                let imitable = virtual_agents || self.state.counts()[to.index()] > 0;
+                imit.is_some_and(|p| imitable && imitation_mu(&p, &self.params, l_from, gain) > 0.0)
+                    || expl.is_some_and(|p| {
+                        exploration_mu(&p, &self.params, l_from, gain, s_c, n_c) > 0.0
+                    })
+            };
+            let m = if support_dest {
+                occ.iter().any(|&to| can_move(to))
+            } else {
+                class.strategy_range().any(|to| can_move(StrategyId::new(to)))
+            };
+            movable[(from.raw() - lo) as usize] = m;
+            any |= m;
+        }
+        any
+    }
+
+    fn player_round<const ADDRESSED: bool>(
         &mut self,
         rng: &mut impl DrawRng,
         migrations: &mut Vec<Migration>,
@@ -886,6 +973,7 @@ impl<'g> Simulation<'g> {
         // Classes modify disjoint player/strategy ranges, so each class can
         // decide *and* commit before the next is visited.
         let mut mu_table = std::mem::take(&mut self.mu_table);
+        let mut movable = std::mem::take(&mut self.movable_buf);
         let mut moves = std::mem::take(&mut self.moves_buf);
         let mut commit = std::mem::take(&mut self.commit_buf);
         for (ci, class) in self.game.classes().iter().enumerate() {
@@ -900,8 +988,13 @@ impl<'g> Simulation<'g> {
             // Loop-invariant tier split, hoisted so the hot loop branches
             // on registers.
             let dense_memo = memoize && mu_table.dense;
+            // An addressed stream lets players on unmovable origins go
+            // undrawn: their draws are pure functions of their own site,
+            // so skipping them changes no other player's bits.
+            let any_movable =
+                !ADDRESSED || self.mark_movable_origins(ci, imit, expl, explore_prob, &mut movable);
             moves.clear();
-            {
+            if any_movable {
                 let players = self.players.as_ref().expect("ensure_players ran");
                 let class_players = &players[start..start + n_c as usize];
                 // Per-class sampling-pool constants.
@@ -909,6 +1002,9 @@ impl<'g> Simulation<'g> {
                 let real_pool = if self_exclude { n_c - 1 } else { n_c };
                 let pool = real_pool + if virtual_agents { s_c as u64 } else { 0 };
                 for (local, &from) in class_players.iter().enumerate() {
+                    if ADDRESSED && !movable[(from.raw() - my_range.start) as usize] {
+                        continue;
+                    }
                     // Counter mode addresses each player's decision by the
                     // global player index.
                     rng.begin_site((start + local) as u64);
@@ -1033,6 +1129,7 @@ impl<'g> Simulation<'g> {
             }
         }
         self.mu_table = mu_table;
+        self.movable_buf = movable;
         self.moves_buf = moves;
         self.commit_buf = commit;
         Ok(())

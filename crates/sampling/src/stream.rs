@@ -2,15 +2,17 @@
 //!
 //! Every randomized kernel in the workspace draws through [`DrawRng`]: the
 //! [`Rng`] interface plus two *positioning hooks*, [`begin_round`] and
-//! [`begin_site`]. For the sequential xoshiro backend the hooks are no-ops
-//! and the consumed stream is bit-identical to passing the raw [`SmallRng`]
-//! (all historical pins hold unmodified); for the counter backend they
-//! reposition the [`CounterRng`] so each draw is addressed by
-//! `(trial, round, site, index)` — see [`crate::counter`] for the key
-//! schedule.
+//! [`begin_site`], and one query, [`is_addressed`], that tells a kernel
+//! whether it may leave sites undrawn. For the sequential xoshiro backend
+//! the hooks are no-ops and the consumed stream is bit-identical to passing
+//! the raw [`SmallRng`] (all historical pins hold unmodified); for the
+//! counter backend they reposition the [`CounterRng`] so each draw is
+//! addressed by `(trial, round, site, index)` — see [`crate::counter`] for
+//! the key schedule.
 //!
 //! [`begin_round`]: DrawRng::begin_round
 //! [`begin_site`]: DrawRng::begin_site
+//! [`is_addressed`]: DrawRng::is_addressed
 
 use crate::counter::CounterRng;
 use crate::seeds::seeded_rng;
@@ -78,6 +80,16 @@ impl std::fmt::Display for RngMode {
 /// strategy, player, …) before drawing. Sequential generators ignore the
 /// hooks (default no-op bodies), so threading `DrawRng` through a kernel
 /// does not perturb an existing sequential stream by a single bit.
+///
+/// # Addressed streams
+///
+/// [`is_addressed`](DrawRng::is_addressed) tells a kernel whether every
+/// draw is a pure function of its `(round, site, index)` position. Only
+/// then may a kernel skip a site it can prove draws nothing that matters
+/// (the player-level kernel skips players who cannot move): skipping an
+/// addressed site changes no other site's bits. The default is `false`
+/// — draws are sequential, so every site must be drawn in order — and a
+/// wrapper that does not override it gets the full walk.
 pub trait DrawRng: Rng {
     /// Position the stream at the start of `round`.
     #[inline]
@@ -89,6 +101,13 @@ pub trait DrawRng: Rng {
     #[inline]
     fn begin_site(&mut self, site: u64) {
         let _ = site;
+    }
+
+    /// Whether draws are addressed by position rather than sequential
+    /// (see [Addressed streams](DrawRng#addressed-streams)).
+    #[inline]
+    fn is_addressed(&self) -> bool {
+        false
     }
 }
 
@@ -105,6 +124,11 @@ impl DrawRng for CounterRng {
     fn begin_site(&mut self, site: u64) {
         CounterRng::begin_site(self, site);
     }
+
+    #[inline]
+    fn is_addressed(&self) -> bool {
+        true
+    }
 }
 
 impl<R: DrawRng + ?Sized> DrawRng for &mut R {
@@ -116,6 +140,11 @@ impl<R: DrawRng + ?Sized> DrawRng for &mut R {
     #[inline]
     fn begin_site(&mut self, site: u64) {
         (**self).begin_site(site);
+    }
+
+    #[inline]
+    fn is_addressed(&self) -> bool {
+        (**self).is_addressed()
     }
 }
 
@@ -193,6 +222,11 @@ impl DrawRng for DrawStream {
             DrawStream::Counter(r) => r.begin_site(site),
         }
     }
+
+    #[inline]
+    fn is_addressed(&self) -> bool {
+        matches!(self, DrawStream::Counter(_))
+    }
 }
 
 #[cfg(test)]
@@ -219,6 +253,19 @@ mod tests {
         stream.begin_site(2);
         let first = stream.next_u64();
         assert_eq!(first, CounterRng::at(11, 4, 9, 2, 0));
+    }
+
+    #[test]
+    fn only_counter_streams_are_addressed() {
+        assert!(DrawStream::for_trial(RngMode::Counter, 1, 0).is_addressed());
+        assert!(!DrawStream::for_trial(RngMode::Xoshiro, 1, 0).is_addressed());
+        assert!(CounterRng::for_trial(1, 0).is_addressed());
+        assert!(!seeded_rng(1, 0).is_addressed());
+        fn via_generic<R: DrawRng>(rng: R) -> bool {
+            rng.is_addressed()
+        }
+        assert!(via_generic(&mut CounterRng::for_trial(1, 0)), "`&mut R` forwards");
+        assert!(!via_generic(&mut seeded_rng(1, 0)));
     }
 
     #[test]

@@ -6,13 +6,16 @@
 //! the state's latency cache, migration scratch) is owned by the
 //! [`Simulation`] and reused. This test installs a counting global
 //! allocator, warms a simulation past its buffer high-water marks, and then
-//! asserts that further rounds perform no allocation at all.
+//! asserts that further rounds perform no allocation at all. Both engines
+//! are checked under both RNG modes: counter-mode player-level rounds also
+//! build the movable-origin mask, which lives in the same reused scratch.
 //!
 //! Everything runs inside a single `#[test]` so no concurrent test can
 //! perturb the global counter.
 
 use congames::dynamics::{EngineKind, ImitationProtocol, NuRule, Protocol, Simulation};
 use congames::model::{Affine, CongestionGame, State};
+use congames::sampling::{DrawRng, DrawStream, RngMode};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -78,12 +81,12 @@ fn assert_steady_state_alloc_free(
     protocol: Protocol,
     label: &str,
     require_steady_migrations: bool,
+    mut rng: impl DrawRng,
 ) {
     let game = game();
     let mut sim = Simulation::new(&game, protocol, skewed_start(&game))
         .expect("valid simulation")
         .with_engine(engine);
-    let mut rng = SmallRng::seed_from_u64(1234);
     // Warm-up: the first rounds carry the largest flows, so 50 rounds
     // drive every scratch buffer to its high-water mark.
     let mut migrated = 0u64;
@@ -281,18 +284,27 @@ fn round_kernels_do_not_allocate_in_steady_state() {
         Protocol::combined(base, congames::dynamics::ExplorationProtocol::paper_default(), 0.25)
             .expect("valid combined protocol");
     for (protocol, name, steady) in [(imitation, "imitation", true), (combined, "combined", true)] {
-        assert_steady_state_alloc_free(
-            EngineKind::Aggregate,
-            protocol,
-            &format!("aggregate/{name}"),
-            steady,
-        );
-        assert_steady_state_alloc_free(
-            EngineKind::PlayerLevel,
-            protocol,
-            &format!("player-level/{name}"),
-            steady,
-        );
+        for (engine, kernel) in
+            [(EngineKind::Aggregate, "aggregate"), (EngineKind::PlayerLevel, "player-level")]
+        {
+            let label = format!("{kernel}/{name}");
+            assert_steady_state_alloc_free(
+                engine,
+                protocol,
+                &label,
+                steady,
+                SmallRng::seed_from_u64(1234),
+            );
+            // Counter mode: addressed draws, so player-level rounds also
+            // build the movable-origin mask and skip unmovable players.
+            assert_steady_state_alloc_free(
+                engine,
+                protocol,
+                &format!("{label}/counter"),
+                steady,
+                DrawStream::for_trial(RngMode::Counter, 1234, 0),
+            );
+        }
     }
     // The batched-latency paths this repo's perf story now rests on:
     // big-flow ΔΦ walks and full cache rebuilds stay off the heap too.

@@ -359,6 +359,112 @@ impl std::ops::Deref for GameHandle<'_> {
     }
 }
 
+/// A run's start as [`Simulation::new`] prepares it: the validated state
+/// with its latency cache and support index built, the protocol
+/// parameters, the class offsets, the Rosenthal potential, and (for the
+/// player-level engine only) the explicit player array.
+///
+/// Every part is a pure function of `(game, start)`, so a clone holds
+/// exactly the bits a fresh preparation would compute. An
+/// [`Ensemble`](crate::Ensemble) prepares its start once and begins every
+/// trial, scalar or lane group, from that one preparation.
+#[derive(Debug, Clone)]
+pub(crate) struct PreparedStart {
+    pub(crate) state: State,
+    pub(crate) params: GameParams,
+    class_offsets: Vec<usize>,
+    pub(crate) potential: f64,
+    players: Option<Vec<StrategyId>>,
+}
+
+impl PreparedStart {
+    /// Validate `state` against `game` and `protocol`, then prepare it.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the state does not belong to the game, or if the protocol's
+    /// virtual-agent setting disagrees with the state's base loads.
+    pub(crate) fn new(
+        game: &CongestionGame,
+        protocol: &Protocol,
+        mut state: State,
+    ) -> Result<Self, DynamicsError> {
+        check_counts(game, state.counts())?;
+        let wants_virtual = protocol.imitation().is_some_and(|p| p.virtual_agents());
+        if wants_virtual != state.has_virtual_agents() {
+            return Err(DynamicsError::InvalidParameter {
+                name: "state",
+                message:
+                    "virtual-agent protocols require State::with_virtual_agents (and vice versa)",
+            });
+        }
+        let params = game.params();
+        let potential = potential(game, &state);
+        state.ensure_latency_cache(game);
+        state.ensure_support_index(game);
+        Ok(PreparedStart {
+            state,
+            params,
+            class_offsets: class_offsets(game),
+            potential,
+            players: None,
+        })
+    }
+
+    /// Build the explicit player array if `engine` steps players one by
+    /// one, and drop it otherwise.
+    pub(crate) fn set_engine(&mut self, game: &CongestionGame, engine: EngineKind) {
+        self.players =
+            (engine == EngineKind::PlayerLevel).then(|| players_of(game, self.state.counts()));
+    }
+}
+
+/// Check that `counts` has one entry per strategy of `game` and that every
+/// class's entries sum to its population.
+fn check_counts(game: &CongestionGame, counts: &[u64]) -> Result<(), DynamicsError> {
+    if counts.len() != game.num_strategies() {
+        return Err(GameError::WrongLength {
+            expected: game.num_strategies(),
+            found: counts.len(),
+        }
+        .into());
+    }
+    for (ci, class) in game.classes().iter().enumerate() {
+        let sum: u64 = class.strategy_range().map(|s| counts[s as usize]).sum();
+        if sum != class.players() {
+            return Err(GameError::CountMismatch {
+                class: ci,
+                expected: class.players(),
+                found: sum,
+            }
+            .into());
+        }
+    }
+    Ok(())
+}
+
+/// Player-array offsets of the classes: class `c` owns
+/// `offsets[c] .. offsets[c + 1]`.
+fn class_offsets(game: &CongestionGame) -> Vec<usize> {
+    let ends = game.classes().iter().scan(0, |off, c| {
+        *off += c.players() as usize;
+        Some(*off)
+    });
+    std::iter::once(0).chain(ends).collect()
+}
+
+/// The explicit player array of `counts`, grouped by class: each player's
+/// strategy, in strategy order.
+fn players_of(game: &CongestionGame, counts: &[u64]) -> Vec<StrategyId> {
+    let mut players = Vec::with_capacity(game.total_players() as usize);
+    for class in game.classes() {
+        for sid in class.strategy_ids() {
+            players.extend(std::iter::repeat(sid).take(counts[sid.index()] as usize));
+        }
+    }
+    players
+}
+
 /// A running simulation: a game, a protocol, and the evolving state.
 ///
 /// Both round kernels are *zero-steady-state-allocation*: all per-round
@@ -415,45 +521,23 @@ impl<'g> Simulation<'g> {
         protocol: Protocol,
         state: State,
     ) -> Result<Self, DynamicsError> {
-        if state.counts().len() != game.num_strategies() {
-            return Err(GameError::WrongLength {
-                expected: game.num_strategies(),
-                found: state.counts().len(),
-            }
-            .into());
-        }
-        for (ci, class) in game.classes().iter().enumerate() {
-            let sum: u64 = class.strategy_range().map(|s| state.counts()[s as usize]).sum();
-            if sum != class.players() {
-                return Err(GameError::CountMismatch {
-                    class: ci,
-                    expected: class.players(),
-                    found: sum,
-                }
-                .into());
-            }
-        }
-        let wants_virtual = protocol.imitation().is_some_and(|p| p.virtual_agents());
-        if wants_virtual != state.has_virtual_agents() {
-            return Err(DynamicsError::InvalidParameter {
-                name: "state",
-                message:
-                    "virtual-agent protocols require State::with_virtual_agents (and vice versa)",
-            });
-        }
-        let params = game.params();
-        let mut class_offsets = Vec::with_capacity(game.classes().len() + 1);
-        let mut off = 0usize;
-        class_offsets.push(0);
-        for c in game.classes() {
-            off += c.players() as usize;
-            class_offsets.push(off);
-        }
-        let potential = potential(game, &state);
-        let mut state = state;
-        state.ensure_latency_cache(game);
-        state.ensure_support_index(game);
-        Ok(Simulation {
+        let start = PreparedStart::new(game, &protocol, state)?;
+        Ok(Self::from_prepared(game, protocol, start))
+    }
+
+    /// Start a simulation from an already prepared start, with the default
+    /// (aggregate) engine and no recording. Nothing is validated or
+    /// recomputed here: the caller supplies a `start` that
+    /// [`PreparedStart::new`] prepared for this `game` and `protocol` (or a
+    /// clone of one). A start prepared for another game breaks the
+    /// simulation's invariants.
+    pub(crate) fn from_prepared(
+        game: &'g CongestionGame,
+        protocol: Protocol,
+        start: PreparedStart,
+    ) -> Self {
+        let PreparedStart { state, params, class_offsets, potential, players } = start;
+        Simulation {
             game: GameHandle::Borrowed(game),
             protocol,
             hook: None,
@@ -461,7 +545,7 @@ impl<'g> Simulation<'g> {
             state,
             engine: EngineKind::Aggregate,
             record: RecordConfig::disabled(),
-            players: None,
+            players,
             class_offsets,
             potential,
             round: 0,
@@ -474,7 +558,7 @@ impl<'g> Simulation<'g> {
             movable_buf: Vec::new(),
             moves_buf: Vec::new(),
             commit_buf: Vec::new(),
-        })
+        }
     }
 
     /// Select the round engine.
@@ -561,18 +645,9 @@ impl<'g> Simulation<'g> {
     }
 
     fn ensure_players(&mut self) {
-        if self.players.is_some() {
-            return;
+        if self.players.is_none() {
+            self.players = Some(players_of(&self.game, self.state.counts()));
         }
-        let mut players = Vec::with_capacity(self.game.total_players() as usize);
-        for class in self.game.classes() {
-            for sid in class.strategy_ids() {
-                for _ in 0..self.state.counts()[sid.index()] {
-                    players.push(sid);
-                }
-            }
-        }
-        self.players = Some(players);
     }
 
     /// Fire the attached hook if it has events due at (or before — a
@@ -617,30 +692,13 @@ impl<'g> Simulation<'g> {
     /// are rare, and incremental tracking across an arbitrary latency swap
     /// has no valid delta).
     fn after_game_change(&mut self) -> Result<(), DynamicsError> {
-        for (ci, class) in self.game.classes().iter().enumerate() {
-            let sum: u64 = class.strategy_range().map(|s| self.state.counts()[s as usize]).sum();
-            if sum != class.players() {
-                return Err(GameError::CountMismatch {
-                    class: ci,
-                    expected: class.players(),
-                    found: sum,
-                }
-                .into());
-            }
-        }
+        check_counts(&self.game, self.state.counts())?;
         self.params = self.game.params();
-        self.class_offsets.clear();
-        self.class_offsets.push(0);
-        let mut off = 0usize;
-        for c in self.game.classes() {
-            off += c.players() as usize;
-            self.class_offsets.push(off);
-        }
+        self.class_offsets = class_offsets(&self.game);
         if self.players.is_some() {
             // Arrivals/departures invalidate the explicit player array;
             // rebuild it from the (deterministic) per-strategy counts.
-            self.players = None;
-            self.ensure_players();
+            self.players = Some(players_of(&self.game, self.state.counts()));
         }
         self.state.invalidate_caches_for_game_change();
         self.state.ensure_latency_cache(&self.game);

@@ -44,7 +44,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 
-use crate::engine::{EngineKind, Simulation};
+use crate::engine::{EngineKind, PreparedStart, Simulation};
 use crate::error::DynamicsError;
 use crate::hook::RoundHook;
 use crate::lanes::{LaneKernel, LANE_WIDTHS};
@@ -142,9 +142,18 @@ pub fn run_indexed<T: Send>(tasks: usize, threads: usize, f: impl Fn(usize) -> T
 /// `DrawStream::for_trial(rng_mode, base_seed, i)` — in xoshiro mode the
 /// historical `SmallRng::seed_from_u64(split_seed(base_seed, i))` stream,
 /// in counter mode the Philox stream keyed by the base seed and addressed
-/// by `(trial, round, site, index)` — and a fresh copy of the start state,
+/// by `(trial, round, site, index)` — and its own copy of the start state,
 /// so the returned outcomes are **bit-identical regardless of the thread
 /// count** and reproducible across runs.
+///
+/// The start is prepared once, in [`Ensemble::new`]: its latency cache and
+/// support index, its Rosenthal potential, the game's protocol parameters
+/// and class offsets — plus the explicit player array, built when
+/// [`Ensemble::engine`] selects [`EngineKind::PlayerLevel`]. Every
+/// trial and every lane group starts from a copy of that preparation
+/// instead of recomputing it. All of it is a pure function of the game and
+/// the start state, so each trial's bits are those of a standalone
+/// [`Simulation::new`] run.
 ///
 /// # Example
 ///
@@ -168,7 +177,8 @@ pub fn run_indexed<T: Send>(tasks: usize, threads: usize, f: impl Fn(usize) -> T
 pub struct Ensemble<'g> {
     game: &'g CongestionGame,
     protocol: Protocol,
-    start: State,
+    /// The validated start, prepared once; every trial begins from a copy.
+    start: PreparedStart,
     engine: EngineKind,
     record: RecordConfig,
     trials: usize,
@@ -189,7 +199,7 @@ impl std::fmt::Debug for Ensemble<'_> {
         f.debug_struct("Ensemble")
             .field("game", &self.game)
             .field("protocol", &self.protocol)
-            .field("start", &self.start)
+            .field("start", &self.start.state)
             .field("engine", &self.engine)
             .field("record", &self.record)
             .field("trials", &self.trials)
@@ -211,14 +221,16 @@ impl<'g> Ensemble<'g> {
     ///
     /// Fails exactly when [`Simulation::new`] would: mismatched state, or a
     /// virtual-agent protocol/state disagreement. Validation happens here,
-    /// once, instead of surfacing from every replica.
+    /// once, together with the start's preparation (see the type docs),
+    /// instead of in every replica.
     pub fn new(
         game: &'g CongestionGame,
         protocol: Protocol,
         start: State,
     ) -> Result<Self, DynamicsError> {
-        // Probe-construct one simulation to validate the configuration.
-        Simulation::new(game, protocol, start.clone())?;
+        // Validate and prepare the start once (what `Simulation::new` does
+        // per call); `make_sim` and the lane kernels copy the result.
+        let start = PreparedStart::new(game, &protocol, start)?;
         Ok(Ensemble {
             game,
             protocol,
@@ -243,6 +255,7 @@ impl<'g> Ensemble<'g> {
     /// Select the round engine for every replica.
     pub fn engine(mut self, engine: EngineKind) -> Self {
         self.engine = engine;
+        self.start.set_engine(self.game, engine);
         self
     }
 
@@ -353,16 +366,18 @@ impl<'g> Ensemble<'g> {
         Ok(())
     }
 
-    /// One replica simulation, with the engine, recording, and (if any)
-    /// scenario hook attached — the single constructor all run paths use.
-    fn make_sim(&self) -> Result<Simulation<'g>, DynamicsError> {
-        let mut sim = Simulation::new(self.game, self.protocol, self.start.clone())?
+    /// One replica simulation, started from a copy of the prepared start
+    /// (nothing is re-validated or recomputed), with the engine, recording,
+    /// and (if any) scenario hook attached — the single constructor all
+    /// scalar run paths use.
+    fn make_sim(&self) -> Simulation<'g> {
+        let mut sim = Simulation::from_prepared(self.game, self.protocol, self.start.clone())
             .with_engine(self.engine)
             .with_recording(self.record);
         if let Some(factory) = &self.round_hook {
             sim = sim.with_hook(factory());
         }
-        Ok(sim)
+        sim
     }
 
     /// Set the worker-thread budget (clamped to at least 1). The results
@@ -415,7 +430,7 @@ impl<'g> Ensemble<'g> {
             });
         }
         let results = run_indexed(self.trials, self.threads, |trial| {
-            let mut sim = self.make_sim()?;
+            let mut sim = self.make_sim();
             let mut rng = self.trial_stream(trial);
             let outcome = sim.run(stop, &mut rng)?;
             Ok(f(&sim, outcome))
@@ -728,7 +743,7 @@ impl<'g> Ensemble<'g> {
     ) -> Result<(), DynamicsError> {
         let Some(width) = self.lane_width else {
             for trial in trials {
-                let mut sim = self.make_sim()?;
+                let mut sim = self.make_sim();
                 let mut rng = self.trial_stream(trial);
                 let mut observer = observer_factory(trial);
                 let summary = sim.run_observed(stop, &mut rng, &mut observer)?;
@@ -748,14 +763,14 @@ impl<'g> Ensemble<'g> {
                     k
                 }
                 None => kernel.insert(
-                    LaneKernel::new(
+                    LaneKernel::from_prepared(
                         self.game,
                         self.protocol,
                         &self.start,
                         self.base_seed,
                         t as u64,
                         lanes,
-                    )?
+                    )
                     .with_recording(self.record),
                 ),
             };

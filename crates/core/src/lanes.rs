@@ -63,14 +63,13 @@
 //! lane's bits; it only changes how fast they are produced.
 
 use congames_model::{
-    potential, potential_delta_for_load_change, CongestionGame, GameError, GameParams, ResourceId,
-    State, StrategyId,
+    potential_delta_for_load_change, CongestionGame, GameParams, ResourceId, State, StrategyId,
 };
 use congames_sampling::{multinomial_with_rest_into, Dispatch, LaneStreams};
 use congames_simd as simd;
 
 use crate::driver::{RoundState, RunDriver, StateView};
-use crate::engine::{exploration_mu, imitation_mu, PairBuffer};
+use crate::engine::{exploration_mu, imitation_mu, PairBuffer, PreparedStart};
 use crate::error::DynamicsError;
 use crate::observe::Observer;
 use crate::protocol::{ImitationProtocol, Protocol, SelfSampling};
@@ -208,35 +207,28 @@ impl<'g> LaneKernel<'g> {
         first_trial: u64,
         lanes: usize,
     ) -> Result<Self, DynamicsError> {
+        let start = PreparedStart::new(game, &protocol, start.clone())?;
+        Ok(Self::from_prepared(game, protocol, &start, base_seed, first_trial, lanes))
+    }
+
+    /// [`LaneKernel::new`] from an already prepared start: its protocol
+    /// parameters and potential are copied, not recomputed, and nothing is
+    /// validated. The caller supplies a `start` that
+    /// [`PreparedStart::new`] prepared for this `game` and `protocol`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes == 0`.
+    pub(crate) fn from_prepared(
+        game: &'g CongestionGame,
+        protocol: Protocol,
+        prepared: &PreparedStart,
+        base_seed: u64,
+        first_trial: u64,
+        lanes: usize,
+    ) -> Self {
         assert!(lanes > 0, "need at least one lane");
-        if start.counts().len() != game.num_strategies() {
-            return Err(GameError::WrongLength {
-                expected: game.num_strategies(),
-                found: start.counts().len(),
-            }
-            .into());
-        }
-        for (ci, class) in game.classes().iter().enumerate() {
-            let sum: u64 = class.strategy_range().map(|s| start.counts()[s as usize]).sum();
-            if sum != class.players() {
-                return Err(GameError::CountMismatch {
-                    class: ci,
-                    expected: class.players(),
-                    found: sum,
-                }
-                .into());
-            }
-        }
-        let wants_virtual = protocol.imitation().is_some_and(|p| p.virtual_agents());
-        if wants_virtual != start.has_virtual_agents() {
-            return Err(DynamicsError::InvalidParameter {
-                name: "state",
-                message:
-                    "virtual-agent protocols require State::with_virtual_agents (and vice versa)",
-            });
-        }
-        let params = game.params();
-        let phi = potential(game, start);
+        let (start, params, phi) = (&prepared.state, prepared.params, prepared.potential);
         let s = game.num_strategies();
         let r = game.num_resources();
         let mut counts = vec![0u64; s * lanes];
@@ -260,7 +252,7 @@ impl<'g> LaneKernel<'g> {
         let max_base = base_loads.iter().copied().max().unwrap_or(0);
         let window = vec![0.0; (game.total_players() + max_base + 2) as usize];
         let dispatch = Dispatch::global();
-        Ok(LaneKernel {
+        LaneKernel {
             game,
             protocol,
             params,
@@ -307,7 +299,7 @@ impl<'g> LaneKernel<'g> {
             init_counts: start.counts().to_vec(),
             init_loads: start.loads().to_vec(),
             init_phi: phi,
-        })
+        }
     }
 
     /// Force a specific vector arm (testing hook — the arms are

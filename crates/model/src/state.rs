@@ -101,7 +101,7 @@ const NO_POS: u32 = u32::MAX;
 /// these lists in place of dense strategy ranges, and ascending-id order
 /// keeps pair visitation (and hence RNG consumption and float summation
 /// order) bit-identical to the dense scans they replace.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct SupportIndex {
     /// Whether the lists mirror the current counts.
     valid: bool,
@@ -120,6 +120,29 @@ struct SupportIndex {
     class_starts: Vec<u32>,
     /// Total occupied strategies over all classes (`Σ_c support_c`).
     total: usize,
+}
+
+// Not derived: a derived clone would shrink each occupied list to its
+// length, and the copy's support maintenance could then allocate.
+impl Clone for SupportIndex {
+    fn clone(&self) -> Self {
+        let occupied = self
+            .occupied
+            .iter()
+            .map(|list| {
+                let mut copy = Vec::with_capacity(list.capacity());
+                copy.extend_from_slice(list);
+                copy
+            })
+            .collect();
+        SupportIndex {
+            valid: self.valid,
+            occupied,
+            pos: self.pos.clone(),
+            class_starts: self.class_starts.clone(),
+            total: self.total,
+        }
+    }
 }
 
 /// A state `x` of a congestion game: the number of players on every strategy
@@ -1374,6 +1397,22 @@ mod tests {
         let b = State::from_counts(&game, vec![3, 1]).unwrap();
         a.ensure_support_index(&game);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn cloned_support_index_keeps_full_class_capacity() {
+        let game = CongestionGame::singleton(
+            (0..8).map(|i| Affine::linear(1.0 + i as f64).into()).collect(),
+            10,
+        )
+        .unwrap();
+        let mut counts = vec![0; 8];
+        counts[0] = 10;
+        let mut a = State::from_counts(&game, counts).unwrap();
+        a.ensure_support_index(&game);
+        let b = a.clone();
+        assert!(b.support_index_valid() && b.support_consistent(&game));
+        assert!(b.support.occupied[0].capacity() >= 8, "clone shrank the occupied list");
     }
 
     #[test]

@@ -688,9 +688,15 @@ impl<'g> Simulation<'g> {
     /// Rebuild everything derived from the game after a hook mutated it:
     /// protocol parameters (the population may have changed), class
     /// offsets, the explicit player array, the state's latency cache and
-    /// support index, and the potential (recomputed from scratch — shocks
-    /// are rare, and incremental tracking across an arbitrary latency swap
-    /// has no valid delta).
+    /// support index, and the potential (recomputed from scratch, since
+    /// incremental tracking across an arbitrary latency swap has no valid
+    /// delta).
+    ///
+    /// Every firing pays the whole rebuild, and it grows with `n`:
+    /// `GameParams::of` scans each resource without a closed-form
+    /// `max_step` (`Scaled`, `FnLatency`) over loads `0..n` for β, and the
+    /// potential sums every resource's load window. In a sweep with
+    /// frequent shocks that is a visible share of the run, not noise.
     fn after_game_change(&mut self) -> Result<(), DynamicsError> {
         check_counts(&self.game, self.state.counts())?;
         self.params = self.game.params();

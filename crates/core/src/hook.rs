@@ -7,7 +7,11 @@
 //! drift, arrivals/departures, demand changes), and the simulation rebuilds
 //! every derived structure — protocol parameters, class offsets, the
 //! player array, the state's latency cache and support index, and the
-//! potential — before the next round runs. The concrete scheduled-event
+//! potential — before the next round runs. That rebuild is a full pass
+//! per firing whatever the event touched: it re-derives β by scanning
+//! the slopes of every `Scaled` or `FnLatency` resource over loads `0..n`
+//! and sums the potential from scratch, so its cost grows with `n` and
+//! with the number of firings. The concrete scheduled-event
 //! implementation lives in the `congames-scenario` crate; keeping the
 //! trait here lets the core engine stay independent of it.
 //!

@@ -61,6 +61,13 @@ pub enum GameError {
         /// Class of the destination strategy.
         to_class: usize,
     },
+    /// Adding players would overflow a `u64` player count or load.
+    PopulationOverflow {
+        /// The count or load before the addition.
+        present: u64,
+        /// Players to add.
+        added: u64,
+    },
     /// A numeric parameter was invalid (negative, NaN, out of range, ...).
     InvalidParameter {
         /// Name of the offending parameter.
@@ -100,6 +107,10 @@ impl fmt::Display for GameError {
                 f,
                 "players cannot migrate across classes (from class {from_class} to class {to_class})"
             ),
+            GameError::PopulationOverflow { present, added } => write!(
+                f,
+                "cannot add {added} players to {present}: the player count would overflow u64"
+            ),
             GameError::InvalidParameter { name, message } => {
                 write!(f, "invalid parameter `{name}`: {message}")
             }
@@ -123,6 +134,7 @@ mod tests {
             GameError::WrongLength { expected: 2, found: 3 },
             GameError::InsufficientPlayers { strategy: 1, available: 0, requested: 2 },
             GameError::CrossClassMigration { from_class: 0, to_class: 1 },
+            GameError::PopulationOverflow { present: 2000, added: u64::MAX },
             GameError::InvalidParameter { name: "lambda", message: "must be in (0, 1]" },
         ];
         for e in errors {

@@ -50,19 +50,32 @@
 //! The batched defaults of [`Latency::max_step`],
 //! [`Latency::elasticity_bound`] (via [`estimate_elasticity_batched`]),
 //! and [`Latency::integral_to`] chunk their scans through a fixed stack
-//! buffer, so they allocate nothing and preserve the exact operation
-//! order of the scalar loops they replaced.
+//! buffer, so they allocate nothing and return the exact bits of the
+//! scalar loops they replaced. The sum and elasticity scans keep those
+//! loops' operation order; `max_step` splits its maximum over independent
+//! lanes, which is exact because a maximum does not depend on order (see
+//! its docs).
 
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
 /// Chunk length (`f64` slots) of the stack buffers behind the batched
-/// default implementations ([`sum_range_via_eval`], [`Latency::max_step`],
+/// default implementations ([`sum_range_via_eval`],
 /// [`Latency::integral_to`], [`estimate_elasticity_batched`]): 64 slots =
 /// 512 bytes of stack, wide enough for full-width SIMD while keeping the
 /// defaults heap-allocation-free (pinned by `tests/zero_alloc.rs`).
 const BATCH_CHUNK: usize = 64;
+
+/// Window length (loads) of the default [`Latency::max_step`] scan: 256
+/// slots = 2 KiB of stack. Its steps fold into independent lanes rather
+/// than one serial chain, so a wider window than [`BATCH_CHUNK`] pays for
+/// fewer virtual calls without lengthening any dependency chain.
+const STEP_WINDOW: usize = 256;
+
+/// Independent running maxima in the default [`Latency::max_step`] scan:
+/// step `j` of a window raises lane `j % STEP_LANES`.
+const STEP_LANES: usize = 8;
 
 /// Panic unless `out` has exactly one slot per range element.
 #[inline]
@@ -76,8 +89,9 @@ fn check_range_len(range: &Range<u64>, out: &[f64]) {
 }
 
 /// Drive `f` over the values `l.value(x)` for `x ∈ lo ..= hi` in order,
-/// batched through one fixed stack chunk per [`Latency::eval_range_into`]
-/// call; `f` receives each chunk's starting load and its values.
+/// batched through one fixed `W`-slot stack chunk per
+/// [`Latency::eval_range_into`] call; `f` receives each chunk's starting
+/// load and its values.
 ///
 /// The shared scan behind every batched default (`sum_range_via_eval`,
 /// `max_step`, `integral_to`, `estimate_elasticity_batched`). The chunk
@@ -87,27 +101,55 @@ fn check_range_len(range: &Range<u64>, out: &[f64]) {
 /// `hi == u64::MAX`, matching the inclusive-range scalar loops it
 /// replaced. (`base + i` is the same exact integer either way, so the
 /// produced values stay bit-identical.)
-fn scan_values_inclusive<L: Latency + ?Sized>(
+fn scan_values_inclusive<const W: usize, L: Latency + ?Sized>(
     l: &L,
     lo: u64,
     hi: u64,
     mut f: impl FnMut(u64, &[f64]),
 ) {
     debug_assert!(lo <= hi, "inclusive scan requires lo <= hi");
-    let mut buf = [0.0_f64; BATCH_CHUNK];
+    let mut buf = [0.0_f64; W];
     let mut start = lo;
     loop {
         // `hi - start + 1` may overflow exactly when the remaining span
         // covers all of u64, so bound the chunk without forming it.
         let span = hi - start;
-        let n = span.min(BATCH_CHUNK as u64 - 1) as usize + 1;
+        let n = span.min(W as u64 - 1) as usize + 1;
         l.eval_range_into(start, 0..n as u64, &mut buf[..n]);
         f(start, &buf[..n]);
-        if span < BATCH_CHUNK as u64 {
+        if span < W as u64 {
             return; // this chunk reached hi
         }
         start += n as u64;
     }
+}
+
+/// Raise `lanes[j % STEP_LANES]` to the step `values[j + 1] − values[j]`
+/// for every `j`. A NaN step compares false and leaves its lane alone, as
+/// `f64::max` skips NaN. The lanes carry no dependency on each other, so
+/// the loop runs as packed compare-and-select instead of one serial chain.
+///
+/// `values` must be non-empty (a scan window always is).
+#[inline]
+fn raise_step_lanes(values: &[f64], lanes: &mut [f64; STEP_LANES]) {
+    let mut acc = *lanes;
+    let mut prev = values[..values.len() - 1].chunks_exact(STEP_LANES);
+    let mut next = values[1..].chunks_exact(STEP_LANES);
+    for (p, q) in (&mut prev).zip(&mut next) {
+        for k in 0..STEP_LANES {
+            let d = q[k] - p[k];
+            if d > acc[k] {
+                acc[k] = d;
+            }
+        }
+    }
+    for (k, (p, q)) in prev.remainder().iter().zip(next.remainder()).enumerate() {
+        let d = q - p;
+        if d > acc[k] {
+            acc[k] = d;
+        }
+    }
+    *lanes = acc;
 }
 
 /// A non-decreasing latency function evaluated at integer congestion values.
@@ -188,9 +230,29 @@ pub trait Latency: fmt::Debug + Send + Sync {
     /// The maximum increment `value(x) − value(x−1)` over `x ∈ lo+1 ..= hi`.
     ///
     /// Used for the `ν_e` bound (with `hi = ⌈d⌉`) and the `β` bound (with
-    /// `hi = n`). The default implementation scans the range in chunks via
-    /// [`Latency::eval_range_into`]; convex families override with the
-    /// closed form `value(hi) − value(hi−1)`.
+    /// `hi = n`). Convex families override with the closed form
+    /// `value(hi) − value(hi−1)`.
+    ///
+    /// The default is a lane-parallel scan. It evaluates each 256-load
+    /// window once via [`Latency::eval_range_into`], carrying the last
+    /// value across windows, and raises 8 independent running maxima
+    /// (`if d > lane { lane = d }`) that fold into one at the end. The
+    /// result is bit-identical to the serial `best = best.max(v − prev)`
+    /// loop over `value(lo ..= hi)`:
+    ///
+    /// * each step `v(x) − v(x−1)` is the same float whatever the window
+    ///   split, because batched evaluation equals pointwise evaluation;
+    /// * the maximum over the non-NaN steps does not depend on the order
+    ///   they are taken in;
+    /// * NaN steps (`∞ − ∞` on a saturated latency) compare false and are
+    ///   skipped, as `f64::max` skips them;
+    /// * every lane and the fold start from `+0.0`, the serial loop's
+    ///   start, so a scan without a positive step returns that same zero.
+    ///
+    /// The serial loop is one dependency chain with a `max` per load.
+    /// `GameParams::of` runs this scan for every `Scaled` or [`FnLatency`]
+    /// resource each time a shock re-derives `β`, so breaking the chain is
+    /// what makes a shock cheap.
     ///
     /// **Empty-scan contract:** `lo >= hi` leaves nothing to scan (the
     /// increments run over `lo+1 ..= hi`) and returns `0.0` — both the
@@ -199,15 +261,18 @@ pub trait Latency: fmt::Debug + Send + Sync {
         if hi <= lo {
             return 0.0;
         }
-        let mut best = 0.0_f64;
+        let mut lanes = [0.0_f64; STEP_LANES];
         let mut prev = self.value(lo);
-        scan_values_inclusive(self, lo + 1, hi, |_, chunk| {
-            for &v in chunk {
-                best = best.max(v - prev);
-                prev = v;
+        scan_values_inclusive::<STEP_WINDOW, _>(self, lo + 1, hi, |_, window| {
+            // The step into the window, then the steps inside it.
+            let d = window[0] - prev;
+            if d > lanes[0] {
+                lanes[0] = d;
             }
+            raise_step_lanes(window, &mut lanes);
+            prev = window[window.len() - 1];
         });
-        best
+        lanes.into_iter().fold(0.0, |best, lane| if lane > best { lane } else { best })
     }
 
     /// Latency at a *fractional* congestion (non-atomic / Wardrop model).
@@ -240,7 +305,7 @@ pub trait Latency: fmt::Debug + Send + Sync {
         let mut acc = 0.0;
         let mut prev = self.value(0);
         if whole > 0 {
-            scan_values_inclusive(self, 1, whole, |_, chunk| {
+            scan_values_inclusive::<BATCH_CHUNK, _>(self, 1, whole, |_, chunk| {
                 for &v in chunk {
                     acc += 0.5 * (prev + v);
                     prev = v;
@@ -294,7 +359,7 @@ pub fn sum_range_via_eval<L: Latency + ?Sized>(l: &L, base: u64, range: Range<u6
     let lo = base + range.start;
     let hi = lo + (range.end - range.start - 1);
     let mut acc = 0.0;
-    scan_values_inclusive(l, lo, hi, |_, chunk| {
+    scan_values_inclusive::<BATCH_CHUNK, _>(l, lo, hi, |_, chunk| {
         for &v in chunk {
             acc += v;
         }
@@ -309,7 +374,7 @@ pub fn sum_range_via_eval<L: Latency + ?Sized>(l: &L, base: u64, range: Range<u6
 pub fn estimate_elasticity_batched<L: Latency + ?Sized>(l: &L, max_load: u64) -> f64 {
     let mut best = 0.0_f64;
     let mut prev = l.value(0);
-    scan_values_inclusive(l, 1, max_load.max(1), |start, chunk| {
+    scan_values_inclusive::<BATCH_CHUNK, _>(l, 1, max_load.max(1), |start, chunk| {
         for (j, &v) in chunk.iter().enumerate() {
             if v > 0.0 {
                 // slope on [x-1, x] by forward difference, at (x, f(x)).

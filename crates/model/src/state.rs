@@ -953,7 +953,9 @@ impl State {
     ///
     /// # Errors
     ///
-    /// Fails if `s` is out of range for `game`.
+    /// Fails (leaving the state unchanged) if `s` is out of range for
+    /// `game`, or if the strategy's count or a resource load would
+    /// overflow `u64`.
     pub fn add_players(
         &mut self,
         game: &CongestionGame,
@@ -964,8 +966,15 @@ impl State {
         if count == 0 {
             return Ok(());
         }
+        let resources = game.strategy(s).resources();
+        // The largest of the strategy's count and its loads overflows first.
+        let present =
+            resources.iter().map(|r| self.loads[r.index()]).fold(self.counts[s.index()], u64::max);
+        if present.checked_add(count).is_none() {
+            return Err(GameError::PopulationOverflow { present, added: count });
+        }
         self.counts[s.index()] += count;
-        for &r in game.strategy(s).resources() {
+        for &r in resources {
             self.loads[r.index()] += count;
         }
         self.invalidate_caches_for_game_change();
@@ -1493,6 +1502,14 @@ mod tests {
         assert_eq!(s, before);
         // Zero-count events are no-ops.
         s.add_players(&game, sid(1), 0).unwrap();
+        assert_eq!(s, before);
+        // An arrival whose count fits but whose load on the shared r1
+        // would overflow is rejected without mutating anything.
+        let huge = u64::MAX - s.count(sid(0));
+        assert!(matches!(
+            s.add_players(&game, sid(0), huge),
+            Err(GameError::PopulationOverflow { added, .. }) if added == huge
+        ));
         assert_eq!(s, before);
     }
 

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use congames_dynamics::{DynamicsError, RoundHook};
-use congames_model::{CongestionGame, ResourceId, State, StrategyId};
+use congames_model::{CongestionGame, GameError, ResourceId, State, StrategyId};
 
 use crate::error::ScenarioError;
 use crate::event::{Schedule, ScheduledEvent};
@@ -28,9 +28,9 @@ use crate::event::{Schedule, ScheduledEvent};
 ///
 /// # Errors
 ///
-/// Unknown resource/strategy/class ids, and departures exceeding the
-/// players actually present, are rejected with the game and state left
-/// unchanged.
+/// Unknown resource/strategy/class ids, departures exceeding the players
+/// actually present, and arrivals that would overflow a `u64` player
+/// count or load are rejected with the game and state left unchanged.
 pub fn apply_event(
     game: &mut CongestionGame,
     state: &mut State,
@@ -49,10 +49,15 @@ pub fn apply_event(
             let sid = StrategyId::new(strategy);
             game.check_strategy(sid)?;
             let class = game.class_of(sid);
-            let players = game.classes()[class].players();
-            game.set_class_players(class, players + count)?;
-            // `add_players` maintains counts/loads and invalidates caches.
+            // The game's total bounds each class's count, so one check
+            // covers both.
+            check_growth(game.total_players(), count)?;
+            let players = game.classes()[class].players() + count;
+            // State first: `add_players` validates its own counts and loads
+            // and leaves everything unchanged on failure; on success it
+            // maintains counts/loads and invalidates caches.
             state.add_players(game, sid, count)?;
+            game.set_class_players(class, players)?;
         }
         ScheduledEvent::RemovePlayers { strategy, count } => {
             let sid = StrategyId::new(strategy);
@@ -84,8 +89,9 @@ pub fn apply_event(
                     .map(StrategyId::new)
                     .find(|s| state.counts()[s.index()] > 0)
                     .unwrap_or(StrategyId::new(range.start));
-                game.set_class_players(class, players)?;
+                check_growth(game.total_players() - current, players)?;
                 state.add_players(game, target, players - current)?;
+                game.set_class_players(class, players)?;
             } else if players < current {
                 // Departures: drain ascending strategy ids, first-fit.
                 let mut remaining = current - players;
@@ -105,6 +111,15 @@ pub fn apply_event(
         }
     }
     Ok(())
+}
+
+/// Reject an event that adds `added` players to a population of
+/// `present` when the sum would overflow `u64`.
+fn check_growth(present: u64, added: u64) -> Result<(), ScenarioError> {
+    match present.checked_add(added) {
+        Some(_) => Ok(()),
+        None => Err(GameError::PopulationOverflow { present, added }.into()),
+    }
 }
 
 /// A [`Schedule`] adapted to the engine's [`RoundHook`] seam: a cursor
@@ -188,7 +203,7 @@ impl RoundHook for ScheduleCursor {
 mod tests {
     use super::*;
     use crate::event::LatencySpec;
-    use congames_model::{potential, Affine, GameError};
+    use congames_model::{potential, Affine};
 
     fn two_links(n: u64, counts: Vec<u64>) -> (CongestionGame, State) {
         let game = CongestionGame::singleton(
@@ -251,6 +266,49 @@ mod tests {
         assert!(matches!(err, ScenarioError::Game(GameError::InsufficientPlayers { .. })));
         assert_eq!(game.total_players(), 9);
         assert_eq!(state.counts(), &[0, 9]);
+    }
+
+    /// Arrivals that would overflow a `u64` player count are rejected
+    /// with the game and state untouched — both the direct
+    /// `add_players` event and a demand increase in a second class.
+    #[test]
+    fn overflowing_arrivals_leave_game_and_state_unchanged() {
+        let (mut game, mut state) = two_links(2000, vec![1000, 1000]);
+        let before = state.clone();
+        let err = apply_event(
+            &mut game,
+            &mut state,
+            &ScheduledEvent::AddPlayers { strategy: 0, count: u64::MAX },
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            ScenarioError::Game(GameError::PopulationOverflow { present: 2000, added: u64::MAX })
+        );
+        assert!(err.to_string().contains("overflow"), "{err}");
+        assert_eq!(game.total_players(), 2000);
+        assert_eq!(state, before);
+
+        // Two classes: class 0's new demand fits in u64 on its own, but
+        // the game's total would not.
+        let mut b = CongestionGame::builder();
+        let r0 = b.add_resource(Affine::linear(1.0).into());
+        let r1 = b.add_resource(Affine::linear(2.0).into());
+        b.add_class("a", 10, vec![congames_model::Strategy::new(vec![r0]).unwrap()]).unwrap();
+        b.add_class("b", 10, vec![congames_model::Strategy::new(vec![r1]).unwrap()]).unwrap();
+        let mut game = b.build().unwrap();
+        let mut state = State::from_counts(&game, vec![10, 10]).unwrap();
+        let before = state.clone();
+        let err = apply_event(
+            &mut game,
+            &mut state,
+            &ScheduledEvent::SetDemand { class: 0, players: u64::MAX },
+        )
+        .unwrap_err();
+        assert!(matches!(err, ScenarioError::Game(GameError::PopulationOverflow { .. })));
+        assert_eq!(game.classes()[0].players(), 10);
+        assert_eq!(game.total_players(), 20);
+        assert_eq!(state, before);
     }
 
     #[test]

@@ -18,7 +18,12 @@
 //! * the batched *defaults* of `max_step`, `sum_range`, and `integral_to`
 //!   (exercised through a wrapper that keeps each family's tight
 //!   `eval_range_into` loops but drops its closed-form overrides) match
-//!   scalar reference loops bit-for-bit.
+//!   scalar reference loops bit-for-bit;
+//! * the lane-parallel default `max_step` matches the serial
+//!   `best.max(v − prev)` loop bit-for-bit on the latencies that reach it
+//!   in a game — 1–4 nested `Scaled` layers with non-power-of-two
+//!   factors, `FnLatency`, latencies saturating to `+∞` (whose later steps
+//!   are `∞ − ∞ = NaN`) — over windows that straddle its 256-load window.
 //!
 //! Window lengths are capped at 2048 so the 1e-12 relative tolerance
 //! dominates the worst-case `(n−1)·u` error of sequential summation.
@@ -26,7 +31,9 @@
 //! cases before the random ones on every run.
 
 use congames::model::latency::sum_range_via_eval;
-use congames::model::{Affine, Bpr, Constant, FnLatency, Latency, LatencyFn, Monomial, Polynomial};
+use congames::model::{
+    Affine, Bpr, Constant, FnLatency, Latency, LatencyFn, Monomial, Polynomial, Scaled,
+};
 use proptest::prelude::*;
 use std::ops::Range;
 
@@ -81,6 +88,60 @@ fn arb_latency() -> impl Strategy<Value = (LatencyFn, bool)> {
 /// below the summation-error budget of the 1e-12 relative tolerance.
 fn arb_window() -> impl Strategy<Value = (u64, u64, u64)> {
     (0u64..1_000_000, 0u64..3_000, 0u64..=2_048).prop_map(|(base, lo, len)| (base, lo, lo + len))
+}
+
+/// Scale factors for nested `Scaled` layers. None is a power of two, so
+/// every layer rounds: a closed form `factor · inner.max_step` would not
+/// reproduce the scanned bits.
+const SCALE_FACTORS: [f64; 4] = [1.5, 0.7, 3.3, 0.45];
+
+/// The default `max_step` scans `STEP_WINDOW` loads per window.
+const STEP_WINDOW: u64 = 256;
+
+/// `+∞` from load `cap` on, linear below it: every step past `cap` is
+/// `∞ − ∞ = NaN`, and the step into `cap` is `+∞`.
+fn saturating(cap: u64) -> LatencyFn {
+    FnLatency::new(
+        "saturating",
+        move |x| if x >= cap { f64::INFINITY } else { 1.0 + 0.5 * x as f64 },
+    )
+    .into()
+}
+
+/// A latency whose `max_step` is the trait default: any family from
+/// [`arb_latency`], a saturating `FnLatency`, wrapped in 1–4 nested
+/// `Scaled` layers with [`SCALE_FACTORS`].
+fn arb_scanned_latency() -> impl Strategy<Value = LatencyFn> {
+    (arb_latency(), 0u32..3, 0u64..4_000, proptest::collection::vec(0usize..4, 1..=4)).prop_map(
+        |((inner, _), kind, cap, layers)| {
+            let base = if kind == 0 { saturating(cap) } else { inner };
+            layers.into_iter().fold(base, |l, i| Scaled::new(l, SCALE_FACTORS[i]).into())
+        },
+    )
+}
+
+/// A scan `lo ..= hi` whose length is either random or within one load
+/// of a multiple of the scan window (255, 256, 257, 511, …, 1025).
+fn arb_scan() -> impl Strategy<Value = (u64, u64)> {
+    (0u64..3_000, 0u32..2, 1u64..=4, 0u64..=2, 0u64..=2_048).prop_map(
+        |(lo, straddle, windows, jitter, len)| {
+            let len = if straddle == 0 { len } else { windows * STEP_WINDOW + jitter - 1 };
+            (lo, lo + len)
+        },
+    )
+}
+
+/// The pre-lane reference: the serial `best.max(v − prev)` loop over
+/// `value(lo ..= hi)`, pointwise.
+fn serial_max_step(l: &dyn Latency, lo: u64, hi: u64) -> f64 {
+    let mut best = 0.0_f64;
+    let mut prev = l.value(lo);
+    for x in lo + 1..=hi {
+        let v = l.value(x);
+        best = best.max(v - prev);
+        prev = v;
+    }
+    best
 }
 
 proptest! {
@@ -199,4 +260,45 @@ proptest! {
             "{l:?} default sum_range (overrides stripped) drifted"
         );
     }
+
+    /// The lane-parallel default `max_step` returns the serial loop's
+    /// bits on nested `Scaled`, `FnLatency` and saturating latencies,
+    /// including NaN steps and scans that straddle the window width.
+    #[test]
+    fn lane_max_step_matches_serial_loop_bitwise(
+        l in arb_scanned_latency(),
+        (lo, hi) in arb_scan(),
+    ) {
+        let serial = serial_max_step(&*l, lo, hi);
+        prop_assert!(
+            l.max_step(lo, hi).to_bits() == serial.to_bits(),
+            "{l:?} lane max_step({lo}, {hi}) drifted from the serial loop"
+        );
+    }
+}
+
+/// Fixed cases the property may miss: every scan length from one window
+/// short to one load past two windows, a scan that crosses into
+/// saturation (β = +∞), and one that starts past it, where every step is
+/// NaN and the result is the serial loop's `+0.0`.
+#[test]
+fn lane_max_step_edge_cases_match_serial_loop() {
+    let deep = SCALE_FACTORS
+        .iter()
+        .fold(LatencyFn::from(Monomial::new(0.3, 3)), |l, &f| Scaled::new(l, f).into());
+    let sqrtish: LatencyFn = FnLatency::new("sqrtish", |x| 2.5 * ((x as f64) + 1.0).sqrt()).into();
+    for l in [&deep, &sqrtish] {
+        for len in STEP_WINDOW - 1..=2 * STEP_WINDOW + 1 {
+            for lo in [0, 7] {
+                let serial = serial_max_step(&**l, lo, lo + len);
+                assert_eq!(l.max_step(lo, lo + len).to_bits(), serial.to_bits(), "{l:?} len {len}");
+            }
+        }
+    }
+    let sat = Scaled::new(saturating(300), 0.7);
+    assert_eq!(sat.max_step(0, 600), f64::INFINITY);
+    assert_eq!(serial_max_step(&sat, 0, 600), f64::INFINITY);
+    let past = sat.max_step(301, 900);
+    assert_eq!(past.to_bits(), 0.0_f64.to_bits(), "all-NaN scan returns +0.0");
+    assert_eq!(past.to_bits(), serial_max_step(&sat, 301, 900).to_bits());
 }

@@ -126,3 +126,37 @@ fn empty_trace_is_the_empty_schedule() {
     assert!(s.is_empty());
     assert_eq!(write_trace(&s), "# congames-trace v1\n");
 }
+
+/// A trace that parses but whose arrival would overflow the `u64`
+/// population aborts the run at its fire round with a hook error, and
+/// leaves the population as it was — it used to wrap to 1999 players in
+/// release builds and panic in debug builds.
+#[test]
+fn overflowing_arrival_aborts_the_run_and_keeps_the_population() {
+    use congames::dynamics::{DynamicsError, ImitationProtocol, Simulation, StopSpec};
+    use congames::model::{Affine, CongestionGame, State};
+    use congames::scenario::ScheduleCursor;
+    use rand::SeedableRng;
+    use std::sync::Arc;
+
+    let schedule = parse_trace("# congames-trace v1\n5,add_players,0,18446744073709551615\n")
+        .expect("a u64 count parses");
+    let game =
+        CongestionGame::singleton([1.0, 2.0, 4.0].map(|a| Affine::linear(a).into()).to_vec(), 2000)
+            .expect("valid game");
+    let start = State::from_counts(&game, vec![700, 700, 600]).expect("valid start");
+    let mut sim = Simulation::new(&game, ImitationProtocol::paper_default().into(), start)
+        .expect("valid simulation")
+        .with_hook(Box::new(ScheduleCursor::new(Arc::new(schedule))));
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(20090808);
+    let err = sim.run(&StopSpec::max_rounds(20), &mut rng).expect_err("the arrival must fail");
+    match &err {
+        DynamicsError::Hook { message } => {
+            assert!(message.contains("round 5") && message.contains("overflow"), "{message}");
+        }
+        other => panic!("expected a hook error, got {other:?}"),
+    }
+    assert_eq!(sim.round(), 5);
+    assert_eq!(sim.state().counts().iter().sum::<u64>(), 2000);
+    assert!(sim.state().loads_consistent(&game));
+}

@@ -179,3 +179,115 @@ fn mixed_scenario_shard_sets_are_rejected() {
     let ok = vec![header(0, &shock.digest()), header(1, &shock.digest())];
     validate_shard_sequence(&ok).expect("uniform-scenario shards merge");
 }
+
+/// Fire rounds of [`beta_schedule`], in order.
+const BETA_FIRE_ROUNDS: [u64; 7] = [4, 9, 11, 14, 17, 20, 23];
+
+/// `[d, ν, β, ℓ_min]` bits of `Simulation::params` after each firing of
+/// [`beta_schedule`]. The parameters depend on the game alone, so both
+/// engines must reach the same values.
+const BETA_PARAMS_PIN: [[u64; 4]; 7] = [
+    [0x403af881df881df9, 0x4043e00000000000, 0x407c140000000000, 0x3fe8000000000000],
+    [0x403af881df881df9, 0x403bd33333333330, 0x4073a79999999a00, 0x3fe0cccccccccccc],
+    [0x403af881df881df9, 0x403bd33333333330, 0x4073a79999999a00, 0x3fe0cccccccccccc],
+    [0x403af881df881df9, 0x403bd33333333330, 0x4081058000000000, 0x3fe0cccccccccccc],
+    [0x403af881df881df9, 0x403bd33333333330, 0x4085e0b333333340, 0x3fe0cccccccccccc],
+    [0x403af881df881df9, 0x403bd33333333330, 0x4083624ccccccd00, 0x3fe0cccccccccccc],
+    [0x4000000000000000, 0x3ff9333333333332, 0x4070d53333333380, 0x3fe0cccccccccccc],
+];
+
+/// Final counts and potential bits at round 30: aggregate, then player.
+const BETA_FINAL_PIN: [([u64; 4], u64); 2] =
+    [([4, 55, 118, 80], 0x40e217aa7cc404a8), ([15, 52, 107, 83], 0x40def0ca1ef95eb0)];
+
+/// Four links whose β comes from different places: a closed-form affine
+/// link, a monomial that the schedule wraps in `Scaled`, and two
+/// `FnLatency` links whose slopes are scanned. The kinked link's largest
+/// step sits at full load, so β moves with every demand change; the
+/// square-root link's sits at the first step.
+fn beta_game() -> congames::CongestionGame {
+    use congames::model::{Affine, FnLatency, Monomial};
+    congames::CongestionGame::singleton(
+        vec![
+            Affine::new(1.0, 2.0).into(),
+            Monomial::new(0.5, 2).into(),
+            FnLatency::new("kinked", |x| {
+                let x = x as f64;
+                let over = (x - 280.0).max(0.0);
+                1.0 + 0.75 * x + 2.0 * over * over
+            })
+            .into(),
+            FnLatency::new("sqrtish", |x| 3.0 * ((x as f64) + 1.0).sqrt()).into(),
+        ],
+        300,
+    )
+    .expect("valid game")
+}
+
+/// Nested `ScaleLatency` (×1.5 then ×0.7) on the monomial and the kinked
+/// link, demand up and back down, and an arrival and a departure in
+/// between. The last demand, 257, puts the scaled monomial's largest
+/// step (its last) one load into a second 256-load scan window.
+fn beta_schedule() -> Arc<Schedule> {
+    Arc::new(
+        Schedule::new(vec![
+            (4, ScheduledEvent::ScaleLatency { resource: 1, factor: 1.5 }),
+            (4, ScheduledEvent::ScaleLatency { resource: 2, factor: 1.5 }),
+            (9, ScheduledEvent::ScaleLatency { resource: 1, factor: 0.7 }),
+            (11, ScheduledEvent::ScaleLatency { resource: 2, factor: 0.7 }),
+            (14, ScheduledEvent::SetDemand { class: 0, players: 410 }),
+            (17, ScheduledEvent::AddPlayers { strategy: 2, count: 37 }),
+            (20, ScheduledEvent::RemovePlayers { strategy: 0, count: 19 }),
+            (23, ScheduledEvent::SetDemand { class: 0, players: 257 }),
+        ])
+        .expect("valid beta schedule"),
+    )
+}
+
+/// The combined protocol reads β (through its exploration half), so every
+/// firing's re-derived `GameParams` steers the rest of the run. Pinned
+/// bits: the parameters after each firing, and the final counts and
+/// potential, under both engines in counter mode.
+#[test]
+fn combined_protocol_params_after_each_firing_are_pinned() {
+    use congames::dynamics::{Protocol, Simulation};
+    use congames::sampling::DrawStream;
+    let game = beta_game();
+    let start = congames::State::from_counts(&game, vec![90, 80, 70, 60]).expect("valid start");
+    let mut observed_params = Vec::new();
+    let mut observed_final = Vec::new();
+    for engine in [EngineKind::Aggregate, EngineKind::PlayerLevel] {
+        let mut sim = Simulation::new(&game, Protocol::combined_default(), start.clone())
+            .expect("valid simulation")
+            .with_engine(engine)
+            .with_hook(Box::new(ScheduleCursor::new(beta_schedule())));
+        let mut rng = DrawStream::for_trial(RngMode::Counter, 0x5eed_0016, 3);
+        let mut params = Vec::new();
+        for round in BETA_FIRE_ROUNDS {
+            // A run to `MaxRounds(round)` fires that round's events before
+            // it stops, so the parameters read here are the rebuilt ones.
+            sim.run_observed(&StopSpec::max_rounds(round), &mut rng, &mut FinalSummary)
+                .expect("segment runs");
+            assert_eq!(sim.round(), round, "{engine:?}: segment stopped off its fire round");
+            let p = sim.params();
+            params.push([p.d.to_bits(), p.nu.to_bits(), p.beta.to_bits(), p.ell_min.to_bits()]);
+        }
+        let summary = sim
+            .run_observed(&StopSpec::max_rounds(30), &mut rng, &mut FinalSummary)
+            .expect("final segment runs");
+        let counts: [u64; 4] = sim.state().counts().try_into().expect("four strategies");
+        assert_eq!(counts.iter().sum::<u64>(), 257, "{engine:?}: final demand");
+        observed_final.push((counts, summary.potential.to_bits()));
+        observed_params.push(params);
+    }
+    assert_eq!(observed_params[0], observed_params[1], "params depend on the game alone");
+    assert_eq!(
+        observed_params[0], BETA_PARAMS_PIN,
+        "re-derived GameParams drifted; observed {:#x?}",
+        observed_params[0]
+    );
+    assert_eq!(
+        observed_final, BETA_FINAL_PIN,
+        "final state drifted; observed {observed_final:#x?}"
+    );
+}
